@@ -17,19 +17,18 @@ of the initial guess.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import (
     Dataset,
     ModelParams,
     Responsibilities,
-    log_density_matrix,
+    _check_params,
+    _e_step_arrays,
+    _residuals,
     posterior_probs,
     classify,
 )
@@ -178,55 +177,57 @@ def m_step_weights(resp: Responsibilities) -> np.ndarray:
     return resp.probs.mean(axis=0)
 
 
-def _weighted_normal_equations(data: Dataset, Z: np.ndarray):
-    X = data.design
-    y = data.responses
-    ZX = Z[:, :, None] * X[:, None, :]            # (n, G, J)
-    A = np.einsum("ngi,nj->gij", ZX, X)           # (G, J, J)
-    b = np.einsum("ngi,n->gi", ZX, y)             # (G, J)
-    return A, b
+def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    # Xt is the (J, n) transposed design, Z the (G, n) responsibilities and
+    # totals their row sums.  b is summed by einsum rather than BLAS: near a
+    # fixed point the stopping iteration hangs on last bits, and this order
+    # keeps the scale-equivariance acceptance check (criterion 3) passing.
+    J = Xt.shape[0]
+    XZ = Xt * Z[:, None, :]                       # (G, J, n)
+    A = XZ @ Xt.T                                 # (G, J, J)
+    b = np.einsum("gjn,n->gj", XZ, y)             # (G, J)
+    eig = np.abs(np.linalg.eigvalsh(A))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds = eig.max(axis=1) / eig.min(axis=1)
+    if totals.min() < J or not (conds <= _COND_LIMIT).all():
+        for g in range(Z.shape[0]):
+            if totals[g] < J:
+                raise SingularComponentError(g, f"effective sample size {totals[g]:.3g} < {J}")
+            if not np.isfinite(conds[g]) or conds[g] > _COND_LIMIT:
+                raise SingularComponentError(g, f"condition number {conds[g]:.3g}")
+    return np.linalg.solve(A, b[..., None])[..., 0]
 
 
 def m_step_betas(data: Dataset, resp: Responsibilities) -> np.ndarray:
     """Per-component weighted least squares coefficients, shape (G, J).
 
-    Raises SingularComponentError when a component's weighted cross-product
-    matrix has condition number above 1e12 or its effective sample size is
-    below the number of regressors.
+    Raises SingularComponentError when a component's effective sample size is
+    below the number of regressors or its weighted cross-product matrix has a
+    2-norm condition number (largest over smallest eigenvalue magnitude) above
+    1e12.
     """
-    Z = resp.probs
-    J = data.n_features
-    totals = Z.sum(axis=0)
-    A, b = _weighted_normal_equations(data, Z)
-    conds = np.linalg.cond(A)
-    for g in range(Z.shape[1]):
-        if totals[g] < J:
-            raise SingularComponentError(g, f"effective sample size {totals[g]:.3g} < {J}")
-        if not np.isfinite(conds[g]) or conds[g] > _COND_LIMIT:
-            raise SingularComponentError(g, f"condition number {conds[g]:.3g}")
-    return np.linalg.solve(A, b[..., None])[..., 0]
+    Z = resp.probs.T
+    return _solve_betas(np.ascontiguousarray(data.design.T), data.responses, Z, Z.sum(axis=1))
+
+
+def _weighted_ss(Z: np.ndarray, totals: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    if totals.min() <= 0.0:
+        raise EmptyComponentError(int(np.flatnonzero(totals <= 0.0)[0]))
+    return np.einsum("gn,gn->g", Z, resid * resid)
 
 
 def m_step_variances(data: Dataset, resp: Responsibilities, betas: np.ndarray) -> np.ndarray:
     """Responsibility-weighted mean squared residual per component."""
-    Z = resp.probs
-    totals = Z.sum(axis=0)
-    for g in range(Z.shape[1]):
-        if totals[g] <= 0.0:
-            raise EmptyComponentError(g)
-    resid = data.responses[:, None] - data.design @ np.asarray(betas).T
-    return np.einsum("ng,ng->g", Z, resid * resid) / totals
+    Z = resp.probs.T
+    totals = Z.sum(axis=1)
+    return _weighted_ss(Z, totals, _residuals(data, np.asarray(betas))) / totals
 
 
 def homoscedastic_variance(data: Dataset, resp: Responsibilities, betas: np.ndarray) -> float:
     """Pooled variance: (1/n) sum over observations and components of z * residual^2."""
-    Z = resp.probs
-    totals = Z.sum(axis=0)
-    for g in range(Z.shape[1]):
-        if totals[g] <= 0.0:
-            raise EmptyComponentError(g)
-    resid = data.responses[:, None] - data.design @ np.asarray(betas).T
-    return float(np.sum(Z * resid * resid) / data.n)
+    Z = resp.probs.T
+    ss = _weighted_ss(Z, Z.sum(axis=1), _residuals(data, np.asarray(betas)))
+    return float(ss.sum() / data.n)
 
 
 def clamp_variances(raw: np.ndarray, spec: ConstraintSpec) -> np.ndarray:
@@ -284,33 +285,19 @@ def initialize(data: Dataset, G: int, spec: ConstraintSpec, seed) -> ModelParams
     raise SingularComponentError(-1, f"no full-rank partition found in {_INIT_ATTEMPTS} attempts")
 
 
-def _update_variances(data, resp, betas, spec: ConstraintSpec):
+def _update_variances(ss: np.ndarray, totals: np.ndarray, n: int, spec: ConstraintSpec):
+    # Same arithmetic as m_step_variances, homoscedastic_variance and
+    # clamp_variances, from sums of squares computed once per iteration.
     if spec.variant is Variant.HOMN:
-        pooled = homoscedastic_variance(data, resp, betas)
-        G = resp.n_components
-        return np.full(G, pooled)
-    raw = m_step_variances(data, resp, betas)
+        return np.full(totals.shape[0], float(ss.sum() / n))
+    raw = ss / totals
     # The clamp target is the current pooled variance, recomputed every
     # M-step.  With a single component the pooled and per-component updates
     # coincide and the clamp is skipped to keep the reduction bit-exact.
-    if spec.variant is Variant.CONC and resp.n_components > 1:
-        target = homoscedastic_variance(data, resp, betas)
-        return clamp_variances(raw, ConstraintSpec.constrained(spec.c, target))
+    if spec.variant is Variant.CONC and totals.shape[0] > 1:
+        target = float(ss.sum() / n)
+        return np.clip(raw, target * math.sqrt(spec.c), target / math.sqrt(spec.c))
     return raw
-
-
-def _evaluate(data: Dataset, params: ModelParams):
-    """One stabilized pass: log-likelihood plus responsibilities."""
-    L = log_density_matrix(data, params)
-    row = logsumexp(L, axis=1)
-    bad = np.isneginf(row)
-    with np.errstate(invalid="ignore"):
-        P = np.exp(L - row[:, None])
-    if np.any(bad):
-        P[bad] = 1.0 / params.n_components
-        row = np.where(bad, -np.inf, row)
-    P = P / P.sum(axis=1, keepdims=True)
-    return float(row.sum()), Responsibilities(P, underflow=bad)
 
 
 def run_em(
@@ -338,42 +325,46 @@ def run_em(
                 f"(variance ratio {ratio:.3g} < c = {spec.c:g})"
             )
     floor = config.resolve_floor(data)
-    params = init
+    Xt, y, n = np.ascontiguousarray(data.design.T), data.responses, data.n
+    weights, betas, variances = init.weights, init.coefficients, init.variances
     history = [init] if keep_history else None
-    trace = []
     prev_ll = -np.inf
     converged = False
     degenerate = False
     iterations = 0
-    ll, resp = _evaluate(data, params)
-    trace.append(ll)
+    ll, probs, underflow = _e_step_arrays(_residuals(data, betas), weights, variances)
+    trace = [ll]
     for _ in range(config.max_iterations):
         if np.isfinite(ll) and abs(ll - prev_ll) <= config.tolerance * (1.0 + abs(ll)):
             converged = True
             break
         prev_ll = ll
-        weights = m_step_weights(resp)
-        betas = m_step_betas(data, resp)
-        variances = _update_variances(data, resp, betas, spec)
-        if spec.variant is Variant.HETN and variances.min() < floor:
+        totals = probs.sum(axis=1)
+        new_weights = totals / n
+        new_betas = _solve_betas(Xt, y, probs, totals)
+        resid = _residuals(data, new_betas)
+        new_variances = _update_variances(_weighted_ss(probs, totals, resid), totals, n, spec)
+        if spec.variant is Variant.HETN and new_variances.min() < floor:
             degenerate = True
-            variances = np.maximum(variances, np.finfo(float).tiny)
-        candidate = ModelParams(weights, betas, variances)
+            new_variances = np.maximum(new_variances, np.finfo(float).tiny)
+        _check_params(new_weights, new_betas, new_variances)
         iterations += 1
-        new_ll, new_resp = _evaluate(data, candidate)
+        new_ll, new_probs, new_underflow = _e_step_arrays(resid, new_weights, new_variances)
         if not degenerate and new_ll < ll:
             # The moving clamp target makes the constrained update an inexact
             # maximization; reject a step that lowers the objective and stop.
             converged = True
             break
-        params, ll, resp = candidate, new_ll, new_resp
+        weights, betas, variances = new_weights, new_betas, new_variances
+        ll, probs, underflow = new_ll, new_probs, new_underflow
         if keep_history:
-            history.append(params)
+            history.append(ModelParams(weights, betas, variances))
         trace.append(ll)
         if degenerate:
             break
+    resp = Responsibilities(probs.T, underflow=underflow)
     return FitResult(
-        params=params,
+        params=ModelParams(weights, betas, variances),
         loglik=ll,
         loglik_trace=np.array(trace),
         responsibilities=resp,
@@ -383,21 +374,6 @@ def run_em(
         iterations=iterations,
         param_history=tuple(history) if keep_history else (),
     )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CLUSTREG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_starts(tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: t(), tasks))
 
 
 def multi_start_fit(
@@ -420,17 +396,13 @@ def multi_start_fit(
         raise ValueError("n_starts must be >= 1")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = base.spawn(n_starts)
-
-    def make_task(child):
-        def task():
-            try:
-                init = initialize(data, G, spec, child)
-                return run_em(data, G, spec, config, init)
-            except (SingularComponentError, EmptyComponentError) as exc:
-                return exc
-        return task
-
-    outcomes = _run_starts([make_task(c) for c in children], _thread_count())
+    outcomes = []
+    for child in children:
+        try:
+            init = initialize(data, G, spec, child)
+            outcomes.append(run_em(data, G, spec, config, init))
+        except (SingularComponentError, EmptyComponentError) as exc:
+            outcomes.append(exc)
     best = None
     best_degenerate = None
     errors = []

@@ -1,8 +1,8 @@
 """Probabilistic core: mixture density, log-likelihood, posteriors, classification.
 
 All density work happens in log space; posterior membership probabilities are
-computed with log-sum-exp so that component variances near a constraint floor
-do not underflow.
+computed with a max-shifted log-sum-exp so that component variances near a
+constraint floor do not underflow.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "Dataset",
@@ -31,6 +30,17 @@ _ROW_SUM_TOL = 1e-10
 
 class InvalidParameterError(ValueError):
     """Raised when model parameters violate their invariants."""
+
+
+def _check_params(weights, coefficients, variances) -> None:
+    """Raise InvalidParameterError unless values are finite, weights a simplex, variances > 0."""
+    if not (np.isfinite(weights).all() and np.isfinite(coefficients).all()
+            and np.isfinite(variances).all()):
+        raise InvalidParameterError("non-finite parameter values")
+    if (weights < 0).any() or abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
+        raise InvalidParameterError("weights must be a simplex vector")
+    if (variances <= 0).any():
+        raise InvalidParameterError("variances must be strictly positive")
 
 
 def _as_readonly(a, dtype=float):
@@ -103,12 +113,7 @@ class ModelParams:
         G = w.shape[0]
         if G < 1 or B.shape[0] != G or v.shape[0] != G:
             raise InvalidParameterError("weights, coefficients, variances must share G >= 1")
-        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(B)) or not np.all(np.isfinite(v)):
-            raise InvalidParameterError("non-finite parameter values")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
-            raise InvalidParameterError("weights must be a simplex vector")
-        if np.any(v <= 0):
-            raise InvalidParameterError("variances must be strictly positive")
+        _check_params(w, B, v)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "coefficients", B)
         object.__setattr__(self, "variances", v)
@@ -165,29 +170,56 @@ def component_density(y: float, x, beta, sigma2: float) -> float:
     return float(np.exp(-0.5 * np.log(2.0 * np.pi * sigma2) - resid * resid / (2.0 * sigma2)))
 
 
+def _residuals(data: Dataset, coefficients: np.ndarray) -> np.ndarray:
+    """Matrix of y_i - x_i' beta_g, one row per component, shape (G, n)."""
+    if coefficients.shape[1] != data.n_features:
+        raise ValueError("parameter and design dimensions disagree")
+    return data.responses - coefficients @ data.design.T
+
+
+def _log_density(resid, weights, variances):
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights)
+    const = logw - 0.5 * np.log(2.0 * np.pi * variances)
+    return const[:, None] - resid * resid / (2.0 * variances)[:, None]
+
+
 def log_density_matrix(data: Dataset, params: ModelParams) -> np.ndarray:
     """Matrix of log(p_g) + log f_g(y_i | x_i), shape (n, G)."""
-    if params.n_features != data.n_features:
-        raise ValueError("parameter and design dimensions disagree")
-    resid = data.responses[:, None] - data.design @ params.coefficients.T
-    v = params.variances
-    with np.errstate(divide="ignore"):
-        logw = np.log(params.weights)
-    return logw - 0.5 * np.log(2.0 * np.pi * v) - resid * resid / (2.0 * v)
+    return _log_density(_residuals(data, params.coefficients), params.weights, params.variances).T
+
+
+def _e_step_arrays(resid, weights, variances):
+    """Max-shifted log-sum-exp pass: (loglik, (G, n) posteriors, (n,) underflow mask).
+
+    Observations whose mixture density underflows to zero for every component
+    get a uniform 1/G posterior and make the log-likelihood -inf.
+    """
+    L = _log_density(resid, weights, variances)
+    shift = L.max(axis=0)
+    bad = np.isneginf(shift)
+    underflow = bad.any()
+    if underflow:
+        L[:, bad] = 0.0
+        shift[bad] = 0.0
+    E = np.exp(L - shift)
+    total = E.sum(axis=0)
+    loglik = -np.inf if underflow else float(np.log(total).sum() + shift.sum())
+    return loglik, E / total, bad
 
 
 def log_likelihood(data: Dataset, params: ModelParams) -> float:
     """Sample log-likelihood, stabilized per observation by max subtraction."""
-    L = log_density_matrix(data, params)
-    row = logsumexp(L, axis=1)
-    if np.any(np.isneginf(row)):
+    resid = _residuals(data, params.coefficients)
+    loglik, _, bad = _e_step_arrays(resid, params.weights, params.variances)
+    if bad.any():
         warnings.warn(
             "mixture density underflowed to zero for some observations; "
             "log-likelihood is -inf",
             RuntimeWarning,
             stacklevel=2,
         )
-    return float(row.sum())
+    return loglik
 
 
 def posterior_probs(data: Dataset, params: ModelParams) -> Responsibilities:
@@ -196,16 +228,9 @@ def posterior_probs(data: Dataset, params: ModelParams) -> Responsibilities:
     Observations whose mixture density underflows to zero for every component
     get a uniform 1/G row and are flagged in ``underflow``.
     """
-    L = log_density_matrix(data, params)
-    row = logsumexp(L, axis=1)
-    bad = np.isneginf(row)
-    with np.errstate(invalid="ignore"):
-        P = np.exp(L - row[:, None])
-    if np.any(bad):
-        P[bad] = 1.0 / params.n_components
-    # guard against tiny negative rounding before normalization checks
-    P = P / P.sum(axis=1, keepdims=True)
-    return Responsibilities(P, underflow=bad)
+    resid = _residuals(data, params.coefficients)
+    _, P, bad = _e_step_arrays(resid, params.weights, params.variances)
+    return Responsibilities(P.T, underflow=bad)
 
 
 def classify(resp: Responsibilities) -> np.ndarray:

@@ -9,6 +9,7 @@ from clustreg import (
     Dataset,
     EmConfig,
     EmptyComponentError,
+    InvalidParameterError,
     ModelParams,
     Responsibilities,
     SingularComponentError,
@@ -126,6 +127,31 @@ class TestMStepBetas:
         with pytest.raises(SingularComponentError) as exc:
             m_step_betas(data, Responsibilities(z))
         assert exc.value.component == 1
+
+    @staticmethod
+    def _two_scale_design(scale):
+        # Component 0 owns four rows of [1, +-1] (cross-product diag(4, 4)),
+        # component 1 four rows of [1, +-scale] (diag(4, 4 scale^2)), so the
+        # 2-norm condition number of component 1 is 1 / scale^2.
+        x = np.array([1.0, -1.0, 1.0, -1.0, scale, -scale, scale, -scale])
+        data = Dataset(np.arange(8.0), np.column_stack([np.ones(8), x]))
+        z = np.repeat([[1.0, 0.0], [0.0, 1.0]], 4, axis=0)
+        return data, Responsibilities(z)
+
+    def test_condition_number_above_limit_raises(self):
+        data, resp = self._two_scale_design(10.0 ** -6.5)
+        X = data.design[4:]
+        assert np.linalg.cond(X.T @ X) == pytest.approx(1e13, rel=1e-6)
+        with pytest.raises(SingularComponentError, match="condition number") as exc:
+            m_step_betas(data, resp)
+        assert exc.value.component == 1
+
+    def test_condition_number_below_limit_passes(self):
+        data, resp = self._two_scale_design(10.0 ** -5.5)
+        X = data.design[4:]
+        assert np.linalg.cond(X.T @ X) == pytest.approx(1e11, rel=1e-6)
+        betas = m_step_betas(data, resp)
+        assert np.all(np.isfinite(betas))
 
 
 class TestMStepVariances:
@@ -416,12 +442,72 @@ class TestMultiStart:
             if not isinstance(res, Exception) and not res.degenerate:
                 assert best.loglik >= res.loglik
 
+    @pytest.mark.parametrize(
+        "spec", [ConstraintSpec.heteroscedastic(), ConstraintSpec.homoscedastic()],
+        ids=["hetn", "homn"],
+    )
+    def test_tiny_response_scale_raises_invalid_parameter(self, spec):
+        # Variances of responses scaled by 1e-200 underflow to zero in the
+        # first M-step; the candidate invariant check must reject that.
+        data, _, _ = make_two_line_data(seed=26, n=40)
+        tiny = Dataset(data.responses * 1e-200, data.design)
+        with pytest.raises(InvalidParameterError):
+            multi_start_fit(tiny, 2, spec, EmConfig(), 5, seed=12)
+
     def test_deterministic(self):
         data, _, _ = make_two_line_data(seed=24, n=60)
         a = multi_start_fit(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(), 4, seed=11)
         b = multi_start_fit(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(), 4, seed=11)
         assert a.loglik == b.loglik
         assert np.array_equal(a.params.coefficients, b.params.coefficients)
+
+
+class TestKernelEquivalence:
+    """run_em must take exactly the steps the public step functions compose."""
+
+    @staticmethod
+    def _composed_steps(data, spec, init, k):
+        params = init
+        lls = [log_likelihood(data, params)]
+        G = init.n_components
+        for _ in range(k):
+            resp = e_step(data, params)
+            weights = m_step_weights(resp)
+            betas = m_step_betas(data, resp)
+            if spec.variant is Variant.HOMN:
+                variances = np.full(G, homoscedastic_variance(data, resp, betas))
+            else:
+                variances = m_step_variances(data, resp, betas)
+            if spec.variant is Variant.CONC:
+                target = homoscedastic_variance(data, resp, betas)
+                variances = clamp_variances(variances, ConstraintSpec.constrained(spec.c, target))
+            params = ModelParams(weights, betas, variances)
+            lls.append(log_likelihood(data, params))
+        return params, np.array(lls)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ConstraintSpec.heteroscedastic(),
+            ConstraintSpec.homoscedastic(),
+            ConstraintSpec.constrained(0.3, 0.2),
+        ],
+        ids=["hetn", "homn", "conc"],
+    )
+    def test_run_em_matches_composed_steps(self, two_lines, spec):
+        data, _, _ = two_lines
+        k = 6
+        init = initialize(data, 2, spec, seed=31)
+        fit = run_em(data, 2, spec, EmConfig(max_iterations=k, tolerance=1e-300), init)
+        assert fit.iterations == k and fit.loglik_trace.shape == (k + 1,)
+        params, lls = self._composed_steps(data, spec, init, k)
+        for got, want in (
+            (fit.params.weights, params.weights),
+            (fit.params.coefficients, params.coefficients),
+            (fit.params.variances, params.variances),
+            (fit.loglik_trace, lls),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestMonotonicityProperty:

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import clustreg
 from clustreg import (
     Dataset,
     InvalidParameterError,
@@ -297,3 +302,14 @@ class TestInvariants:
     def test_responsibilities_reject_bad_rows(self):
         with pytest.raises(ValueError):
             Responsibilities(np.array([[0.7, 0.7]]))
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(clustreg.__file__).resolve().parents[1])
+    code = "import sys, clustreg; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
