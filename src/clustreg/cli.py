@@ -23,7 +23,7 @@ from .em import (
     Variant,
     multi_start_fit,
 )
-from .tuning import CvConfig, fit_conc
+from .tuning import CvConfig, _estimate_target, fit_conc
 from .metrics import adjusted_rand, bic, param_mse
 from .model import ModelParams
 from .simulate import ScenarioSpec, StudyConfig, run_study
@@ -180,11 +180,7 @@ def _cmd_fit(args) -> int:
             raise UsageError("--variant conc requires --c (or use the tune subcommand)")
         target = args.target
         if target is None:
-            hom = multi_start_fit(
-                data, args.components, ConstraintSpec.homoscedastic(), em,
-                args.starts, seed=np.random.SeedSequence(entropy=args.seed, spawn_key=(0,)),
-            )
-            target = float(hom.params.variances[0])
+            target = _estimate_target(data, args.components, args.seed, em, args.starts)
         spec = ConstraintSpec.constrained(args.c, target)
     elif args.variant == "hetn":
         spec = ConstraintSpec.heteroscedastic()

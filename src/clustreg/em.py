@@ -12,6 +12,19 @@ collapses onto the homoscedastic update exactly; as c -> 0 the clamp becomes
 inactive and the heteroscedastic update is recovered.  The ``target_variance``
 stored in a ConstraintSpec seeds the starting values and the feasibility check
 of the initial guess.
+
+There is one EM loop, the private lane kernel ``_em_lanes``.  It advances a
+batch of members -- the starts of a pool, or the candidate values of c on
+one CV split -- together: weights, coefficients, variances and posteriors
+carry a leading member axis, so one iteration is a few NumPy calls whatever
+the batch size.  The batch holds at most ``2**14 // (G*n)`` members (a fixed
+budget of posterior elements, read off the input).  A member leaves as soon
+as it converges, hits the iteration cap, degenerates, has a step rejected or
+fails a check, and its lane is refilled with the next start, initialised
+only then, in start order, on its own seed stream.  Every per-member
+operation is the same floating-point arithmetic as a run on its own, so a
+member's result does not depend on which others share its batch.  ``run_em``
+is the one-member call.
 """
 
 from __future__ import annotations
@@ -23,7 +36,9 @@ from enum import Enum
 import numpy as np
 
 from .model import (
+    _PARAM_FAULTS,
     Dataset,
+    InvalidParameterError,
     ModelParams,
     Responsibilities,
     _check_params,
@@ -53,6 +68,9 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+# Elements of (G, n) posteriors held over all lanes of one EM batch: the lane
+# count is this budget over G*n, read off the input.
+_LANE_BUDGET = 2**14
 _INIT_ATTEMPTS = 20
 
 
@@ -177,25 +195,41 @@ def m_step_weights(resp: Responsibilities) -> np.ndarray:
     return resp.probs.mean(axis=0)
 
 
-def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    # Xt is the (J, n) transposed design, Z the (G, n) responsibilities and
-    # totals their row sums.  b is summed by einsum rather than BLAS: near a
-    # fixed point the stopping iteration hangs on last bits, and this order
-    # keeps the scale-equivariance acceptance check (criterion 3) passing.
+def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarray):
+    """Weighted least squares of A members at once: ((A, G, J) coefficients, failures).
+
+    Xt is the (J, n) transposed design, Z the (A, G, n) responsibilities and
+    totals their (A, G) row sums.  A member with a component whose effective
+    sample size is below J, or whose cross-product matrix has a condition
+    number above the limit, is not solved: its rows stay NaN and ``failures``
+    lists (member, SingularComponentError) for its first such component.
+    """
+    # b is summed by einsum rather than BLAS: near a fixed point the stopping
+    # iteration hangs on last bits, and this order keeps the scale-equivariance
+    # acceptance check (criterion 3) passing.
     J = Xt.shape[0]
-    XZ = Xt * Z[:, None, :]                       # (G, J, n)
-    A = XZ @ Xt.T                                 # (G, J, J)
-    b = np.einsum("gjn,n->gj", XZ, y)             # (G, J)
+    XZ = Xt * Z[..., None, :]                     # (A, G, J, n)
+    A = XZ @ Xt.T                                 # (A, G, J, J)
+    b = np.einsum("...jn,n->...j", XZ, y)         # (A, G, J)
     eig = np.abs(np.linalg.eigvalsh(A))
     with np.errstate(divide="ignore", invalid="ignore"):
-        conds = eig.max(axis=1) / eig.min(axis=1)
-    if totals.min() < J or not (conds <= _COND_LIMIT).all():
-        for g in range(Z.shape[0]):
-            if totals[g] < J:
-                raise SingularComponentError(g, f"effective sample size {totals[g]:.3g} < {J}")
-            if not np.isfinite(conds[g]) or conds[g] > _COND_LIMIT:
-                raise SingularComponentError(g, f"condition number {conds[g]:.3g}")
-    return np.linalg.solve(A, b[..., None])[..., 0]
+        conds = eig.max(axis=-1) / eig.min(axis=-1)
+    bad = (totals < J) | ~(conds <= _COND_LIMIT)
+    if not bad.any():
+        return np.linalg.solve(A, b[..., None])[..., 0], []
+    failures = []
+    failed = bad.any(axis=1)
+    for a in np.flatnonzero(failed):
+        g = int(np.flatnonzero(bad[a])[0])
+        if totals[a, g] < J:
+            reason = f"effective sample size {totals[a, g]:.3g} < {J}"
+        else:
+            reason = f"condition number {conds[a, g]:.3g}"
+        failures.append((a, SingularComponentError(g, reason)))
+    ok = ~failed
+    betas = np.full(b.shape, np.nan)
+    betas[ok] = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
+    return betas, failures
 
 
 def m_step_betas(data: Dataset, resp: Responsibilities) -> np.ndarray:
@@ -207,26 +241,35 @@ def m_step_betas(data: Dataset, resp: Responsibilities) -> np.ndarray:
     1e12.
     """
     Z = resp.probs.T
-    return _solve_betas(np.ascontiguousarray(data.design.T), data.responses, Z, Z.sum(axis=1))
+    betas, failures = _solve_betas(
+        np.ascontiguousarray(data.design.T), data.responses, Z[None], Z.sum(axis=1)[None])
+    if failures:
+        raise failures[0][1]
+    return betas[0]
 
 
-def _weighted_ss(Z: np.ndarray, totals: np.ndarray, resid: np.ndarray) -> np.ndarray:
+def _weighted_ss(Z: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    return np.einsum("...n,...n->...", Z, resid * resid)
+
+
+def _require_mass(totals: np.ndarray) -> None:
     if totals.min() <= 0.0:
         raise EmptyComponentError(int(np.flatnonzero(totals <= 0.0)[0]))
-    return np.einsum("gn,gn->g", Z, resid * resid)
 
 
 def m_step_variances(data: Dataset, resp: Responsibilities, betas: np.ndarray) -> np.ndarray:
     """Responsibility-weighted mean squared residual per component."""
     Z = resp.probs.T
     totals = Z.sum(axis=1)
-    return _weighted_ss(Z, totals, _residuals(data, np.asarray(betas))) / totals
+    _require_mass(totals)
+    return _weighted_ss(Z, _residuals(data, np.asarray(betas))) / totals
 
 
 def homoscedastic_variance(data: Dataset, resp: Responsibilities, betas: np.ndarray) -> float:
     """Pooled variance: (1/n) sum over observations and components of z * residual^2."""
     Z = resp.probs.T
-    ss = _weighted_ss(Z, Z.sum(axis=1), _residuals(data, np.asarray(betas)))
+    _require_mass(Z.sum(axis=1))
+    ss = _weighted_ss(Z, _residuals(data, np.asarray(betas)))
     return float(ss.sum() / data.n)
 
 
@@ -285,19 +328,167 @@ def initialize(data: Dataset, G: int, spec: ConstraintSpec, seed) -> ModelParams
     raise SingularComponentError(-1, f"no full-rank partition found in {_INIT_ATTEMPTS} attempts")
 
 
-def _update_variances(ss: np.ndarray, totals: np.ndarray, n: int, spec: ConstraintSpec):
+def _update_variances(ss, totals, n, variant, roots):
     # Same arithmetic as m_step_variances, homoscedastic_variance and
-    # clamp_variances, from sums of squares computed once per iteration.
-    if spec.variant is Variant.HOMN:
-        return np.full(totals.shape[0], float(ss.sum() / n))
+    # clamp_variances, for the (A, G) sums of squares of A members; roots
+    # holds each member's sqrt(c).
+    if variant is Variant.HOMN:
+        return np.repeat(ss.sum(axis=-1, keepdims=True) / n, ss.shape[-1], axis=-1)
     raw = ss / totals
     # The clamp target is the current pooled variance, recomputed every
     # M-step.  With a single component the pooled and per-component updates
     # coincide and the clamp is skipped to keep the reduction bit-exact.
-    if spec.variant is Variant.CONC and totals.shape[0] > 1:
-        target = float(ss.sum() / n)
-        return np.clip(raw, target * math.sqrt(spec.c), target / math.sqrt(spec.c))
+    if variant is Variant.CONC and ss.shape[-1] > 1:
+        target = ss.sum(axis=-1, keepdims=True) / n
+        return np.clip(raw, target * roots[:, None], target / roots[:, None])
     return raw
+
+
+def _check_init(G: int, variant: Variant, c, init: ModelParams) -> None:
+    if init.n_components != G:
+        raise ValueError("init has wrong number of components")
+    if variant is Variant.CONC and G > 1:
+        ratio = float(init.variances.min() / init.variances.max())
+        if ratio < c * (1.0 - 1e-9):
+            raise ValueError(
+                "constrained run requires a feasible initial guess "
+                f"(variance ratio {ratio:.3g} < c = {c:g})"
+            )
+
+
+def _em_lanes(data: Dataset, G: int, variant: Variant, config: EmConfig, members,
+              keep_history: bool = False) -> list:
+    """The EM loop: advance a stream of members together, a bounded number at a time.
+
+    ``members`` yields ``(init, c)`` in member order, c being the constant of
+    a constrained member; an exception in place of ``init`` is that member's
+    outcome.  Returns one outcome per member: its FitResult, the
+    SingularComponentError that stopped it, or the InvalidParameterError of a
+    failed invariant check.  After an invariant failure no further member is
+    admitted, so the outcomes may end early.
+    """
+    n = data.n
+    Xt, y = np.ascontiguousarray(data.design.T), data.responses
+    floor = config.resolve_floor(data)
+    lanes = max(1, _LANE_BUDGET // (G * n))
+    source = iter(members)
+    outcomes, traces, history = [], {}, {}
+    # Lane state, one row per active member: id (member index), w/b/v
+    # (weights, coefficients, variances), p/u (posteriors, underflow mask),
+    # ll (log-likelihood), it (iterations) and root (sqrt c).
+    lane = None
+    open_ = True      # members left to admit
+
+    def leave(a, outcome=None, converged=False, degenerate=False):
+        k = int(lane["id"][a])
+        trace, hist = traces.pop(k), history.pop(k, None)
+        if outcome is None:
+            resp = Responsibilities(lane["p"][a].T, underflow=lane["u"][a])
+            outcome = FitResult(
+                params=ModelParams(lane["w"][a], lane["b"][a], lane["v"][a]),
+                loglik=float(lane["ll"][a]),
+                loglik_trace=np.array(trace),
+                responsibilities=resp,
+                labels=classify(resp),
+                converged=bool(converged),
+                degenerate=bool(degenerate),
+                iterations=int(lane["it"][a]),
+                param_history=tuple(hist) if hist is not None else (),
+            )
+        outcomes[k] = outcome
+
+    def keep(mask, *arrays):
+        nonlocal lane
+        lane = {key: arr[mask] for key, arr in lane.items()}
+        return [arr[mask] for arr in arrays]
+
+    while True:
+        # refill free lanes in member order
+        fresh = []
+        room = lanes - (0 if lane is None else lane["id"].size)
+        while open_ and len(fresh) < room:
+            item = next(source, None)
+            if item is None:
+                open_ = False
+                break
+            init, c = item
+            outcomes.append(init)
+            if not isinstance(init, Exception):
+                _check_init(G, variant, c, init)
+                fresh.append((len(outcomes) - 1, init, 1.0 if c is None else c))
+        if fresh:
+            ids, inits, cs = zip(*fresh)
+            W = np.array([p.weights for p in inits])
+            B = np.array([p.coefficients for p in inits])
+            V = np.array([p.variances for p in inits])
+            ll, P, U = _e_step_arrays(_residuals(data, B), W, V)
+            new = dict(id=np.array(ids), w=W, b=B, v=V, p=P, u=U, ll=ll,
+                       it=np.zeros(len(ids), dtype=np.intp), root=np.sqrt(cs))
+            lane = new if lane is None else {k: np.concatenate([lane[k], new[k]]) for k in lane}
+            for k, init, v in zip(ids, inits, ll.tolist()):
+                traces[k] = [v]
+                if keep_history:
+                    history[k] = [init]
+        if lane is None or lane["id"].size == 0:
+            return outcomes
+
+        # M-step; a member with a singular component leaves
+        totals = lane["p"].sum(axis=-1)
+        weights = totals / n
+        betas, failures = _solve_betas(Xt, y, lane["p"], totals)
+        if failures:
+            ok = np.ones(lane["id"].size, dtype=bool)
+            for a, exc in failures:
+                leave(a, exc)
+                ok[a] = False
+            totals, weights, betas = keep(ok, totals, weights, betas)
+            if lane["id"].size == 0:
+                continue
+        resid = _residuals(data, betas)
+        ss = _weighted_ss(lane["p"], resid)
+        variances = _update_variances(ss, totals, n, variant, lane["root"])
+        degenerate = np.zeros(lane["id"].size, dtype=bool)
+        if variant is Variant.HETN:
+            degenerate = variances.min(axis=-1) < floor
+            if degenerate.any():
+                floored = np.maximum(variances, np.finfo(float).tiny)
+                variances = np.where(degenerate[:, None], floored, variances)
+
+        # invariant check; a member that fails it leaves before its E-step
+        faults = _check_params(weights, betas, variances)
+        if (faults >= 0).any():
+            open_ = False
+            for a in np.flatnonzero(faults >= 0):
+                leave(a, InvalidParameterError(_PARAM_FAULTS[faults[a]]))
+            weights, betas, variances, resid, degenerate = keep(
+                faults < 0, weights, betas, variances, resid, degenerate)
+            if lane["id"].size == 0:
+                continue
+        lane["it"] += 1
+
+        # E-step, then reject or accept the step.  The moving clamp target
+        # makes the constrained update an inexact maximization; a step that
+        # lowers the objective is rejected and ends the run.
+        ll, P, U = _e_step_arrays(resid, weights, variances)
+        old = lane["ll"]
+        rejected = ~degenerate & (ll < old)
+        for a in np.flatnonzero(rejected):
+            leave(a, converged=True)
+        with np.errstate(invalid="ignore"):
+            converged = np.isfinite(ll) & (abs(ll - old) <= config.tolerance * (1.0 + abs(ll)))
+        capped = lane["it"] >= config.max_iterations
+        lane.update(w=weights, b=betas, v=variances, p=P, u=U, ll=ll)
+        for a, (k, v, r) in enumerate(zip(lane["id"].tolist(), ll.tolist(), rejected.tolist())):
+            if not r:
+                traces[k].append(v)
+                if keep_history:
+                    history[k].append(ModelParams(weights[a], betas[a], variances[a]))
+        done = ~rejected & (degenerate | capped | converged)
+        for a in np.flatnonzero(done):
+            leave(a, converged=converged[a] and not capped[a] and not degenerate[a],
+                  degenerate=degenerate[a])
+        if (rejected | done).any():
+            keep(~(rejected | done))
 
 
 def run_em(
@@ -315,65 +506,20 @@ def run_em(
     (heteroscedastic only) when a variance falls below the floor, in which
     case the fit is flagged degenerate.
     """
-    if init.n_components != G:
-        raise ValueError("init has wrong number of components")
-    if spec.variant is Variant.CONC and G > 1:
-        ratio = float(init.variances.min() / init.variances.max())
-        if ratio < spec.c * (1.0 - 1e-9):
-            raise ValueError(
-                "constrained run requires a feasible initial guess "
-                f"(variance ratio {ratio:.3g} < c = {spec.c:g})"
-            )
-    floor = config.resolve_floor(data)
-    Xt, y, n = np.ascontiguousarray(data.design.T), data.responses, data.n
-    weights, betas, variances = init.weights, init.coefficients, init.variances
-    history = [init] if keep_history else None
-    prev_ll = -np.inf
-    converged = False
-    degenerate = False
-    iterations = 0
-    ll, probs, underflow = _e_step_arrays(_residuals(data, betas), weights, variances)
-    trace = [ll]
-    for _ in range(config.max_iterations):
-        if np.isfinite(ll) and abs(ll - prev_ll) <= config.tolerance * (1.0 + abs(ll)):
-            converged = True
-            break
-        prev_ll = ll
-        totals = probs.sum(axis=1)
-        new_weights = totals / n
-        new_betas = _solve_betas(Xt, y, probs, totals)
-        resid = _residuals(data, new_betas)
-        new_variances = _update_variances(_weighted_ss(probs, totals, resid), totals, n, spec)
-        if spec.variant is Variant.HETN and new_variances.min() < floor:
-            degenerate = True
-            new_variances = np.maximum(new_variances, np.finfo(float).tiny)
-        _check_params(new_weights, new_betas, new_variances)
-        iterations += 1
-        new_ll, new_probs, new_underflow = _e_step_arrays(resid, new_weights, new_variances)
-        if not degenerate and new_ll < ll:
-            # The moving clamp target makes the constrained update an inexact
-            # maximization; reject a step that lowers the objective and stop.
-            converged = True
-            break
-        weights, betas, variances = new_weights, new_betas, new_variances
-        ll, probs, underflow = new_ll, new_probs, new_underflow
-        if keep_history:
-            history.append(ModelParams(weights, betas, variances))
-        trace.append(ll)
-        if degenerate:
-            break
-    resp = Responsibilities(probs.T, underflow=underflow)
-    return FitResult(
-        params=ModelParams(weights, betas, variances),
-        loglik=ll,
-        loglik_trace=np.array(trace),
-        responsibilities=resp,
-        labels=classify(resp),
-        converged=converged,
-        degenerate=degenerate,
-        iterations=iterations,
-        param_history=tuple(history) if keep_history else (),
-    )
+    (outcome,) = _em_lanes(data, G, spec.variant, config, [(init, spec.c)], keep_history)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _starts(data: Dataset, G: int, spec: ConstraintSpec, children):
+    # Initialised when a lane frees up, in start order, each on its own stream.
+    for child in children:
+        try:
+            init = initialize(data, G, spec, child)
+        except SingularComponentError as exc:
+            init = exc
+        yield init, spec.c
 
 
 def multi_start_fit(
@@ -390,19 +536,18 @@ def multi_start_fit(
     Non-degenerate results win; among equals the highest log-likelihood wins,
     ties resolved to the earliest start.  If every start degenerates the best
     degenerate result is returned.  With ``return_all`` the per-start outcomes
-    (FitResult or exception) are returned alongside the winner.
+    (FitResult or exception) are returned alongside the winner.  If a start
+    fails the parameter invariant check, the lowest such start's
+    InvalidParameterError is raised.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = base.spawn(n_starts)
-    outcomes = []
-    for child in children:
-        try:
-            init = initialize(data, G, spec, child)
-            outcomes.append(run_em(data, G, spec, config, init))
-        except (SingularComponentError, EmptyComponentError) as exc:
-            outcomes.append(exc)
+    starts = _starts(data, G, spec, base.spawn(n_starts))
+    outcomes = _em_lanes(data, G, spec.variant, config, starts)
+    for res in outcomes:
+        if isinstance(res, InvalidParameterError):
+            raise res
     best = None
     best_degenerate = None
     errors = []

@@ -32,15 +32,24 @@ class InvalidParameterError(ValueError):
     """Raised when model parameters violate their invariants."""
 
 
-def _check_params(weights, coefficients, variances) -> None:
-    """Raise InvalidParameterError unless values are finite, weights a simplex, variances > 0."""
-    if not (np.isfinite(weights).all() and np.isfinite(coefficients).all()
-            and np.isfinite(variances).all()):
-        raise InvalidParameterError("non-finite parameter values")
-    if (weights < 0).any() or abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
-        raise InvalidParameterError("weights must be a simplex vector")
-    if (variances <= 0).any():
-        raise InvalidParameterError("variances must be strictly positive")
+_PARAM_FAULTS = (
+    "non-finite parameter values",
+    "weights must be a simplex vector",
+    "variances must be strictly positive",
+)
+
+
+def _check_params(weights, coefficients, variances) -> np.ndarray:
+    """Index into _PARAM_FAULTS of the first invariant each parameter set breaks, -1 if none.
+
+    Arrays may carry leading member axes; the result has their shape.
+    """
+    with np.errstate(invalid="ignore"):
+        finite = (np.isfinite(weights).all(axis=-1) & np.isfinite(variances).all(axis=-1)
+                  & np.isfinite(coefficients).all(axis=(-2, -1)))
+        simplex = ~(weights < 0).any(axis=-1) & ~(abs(weights.sum(axis=-1) - 1.0) > _WEIGHT_SUM_TOL)
+    positive = ~(variances <= 0).any(axis=-1)
+    return np.where(~finite, 0, np.where(~simplex, 1, np.where(~positive, 2, -1)))
 
 
 def _as_readonly(a, dtype=float):
@@ -113,7 +122,9 @@ class ModelParams:
         G = w.shape[0]
         if G < 1 or B.shape[0] != G or v.shape[0] != G:
             raise InvalidParameterError("weights, coefficients, variances must share G >= 1")
-        _check_params(w, B, v)
+        fault = _check_params(w, B, v)
+        if fault >= 0:
+            raise InvalidParameterError(_PARAM_FAULTS[fault])
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "coefficients", B)
         object.__setattr__(self, "variances", v)
@@ -171,8 +182,8 @@ def component_density(y: float, x, beta, sigma2: float) -> float:
 
 
 def _residuals(data: Dataset, coefficients: np.ndarray) -> np.ndarray:
-    """Matrix of y_i - x_i' beta_g, one row per component, shape (G, n)."""
-    if coefficients.shape[1] != data.n_features:
+    """y_i - x_i' beta_g, one row per component: (..., G, n) from (..., G, J) coefficients."""
+    if coefficients.shape[-1] != data.n_features:
         raise ValueError("parameter and design dimensions disagree")
     return data.responses - coefficients @ data.design.T
 
@@ -181,7 +192,7 @@ def _log_density(resid, weights, variances):
     with np.errstate(divide="ignore"):
         logw = np.log(weights)
     const = logw - 0.5 * np.log(2.0 * np.pi * variances)
-    return const[:, None] - resid * resid / (2.0 * variances)[:, None]
+    return const[..., None] - resid * resid / (2.0 * variances)[..., None]
 
 
 def log_density_matrix(data: Dataset, params: ModelParams) -> np.ndarray:
@@ -190,22 +201,23 @@ def log_density_matrix(data: Dataset, params: ModelParams) -> np.ndarray:
 
 
 def _e_step_arrays(resid, weights, variances):
-    """Max-shifted log-sum-exp pass: (loglik, (G, n) posteriors, (n,) underflow mask).
+    """Max-shifted log-sum-exp pass: (loglik, (..., G, n) posteriors, (..., n) underflow mask).
 
-    Observations whose mixture density underflows to zero for every component
-    get a uniform 1/G posterior and make the log-likelihood -inf.
+    Leading member axes are kept; loglik has their shape.  Observations whose
+    mixture density underflows to zero for every component get a uniform 1/G
+    posterior and make their member's log-likelihood -inf.
     """
     L = _log_density(resid, weights, variances)
-    shift = L.max(axis=0)
+    shift = L.max(axis=-2)
     bad = np.isneginf(shift)
-    underflow = bad.any()
-    if underflow:
-        L[:, bad] = 0.0
+    underflow = bad.any(axis=-1)
+    if underflow.any():
+        L[np.broadcast_to(bad[..., None, :], L.shape)] = 0.0
         shift[bad] = 0.0
-    E = np.exp(L - shift)
-    total = E.sum(axis=0)
-    loglik = -np.inf if underflow else float(np.log(total).sum() + shift.sum())
-    return loglik, E / total, bad
+    E = np.exp(L - shift[..., None, :])
+    total = E.sum(axis=-2)
+    loglik = np.where(underflow, -np.inf, np.log(total).sum(axis=-1) + shift.sum(axis=-1))
+    return loglik, E / total[..., None, :], bad
 
 
 def log_likelihood(data: Dataset, params: ModelParams) -> float:
@@ -219,7 +231,7 @@ def log_likelihood(data: Dataset, params: ModelParams) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    return loglik
+    return float(loglik)
 
 
 def posterior_probs(data: Dataset, params: ModelParams) -> Responsibilities:

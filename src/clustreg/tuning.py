@@ -4,7 +4,8 @@ The selection loop follows the repeated random-split recipe: one full-sample
 temporary estimate serves as the starting value for every training fit, then
 K train/test splits shared across the whole grid (common random numbers),
 scoring each trained model on its test set and summing the K test
-contributions.
+contributions.  Each split is drawn once and the training fits of every
+feasible c on it run as one batch of the EM kernel.
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Dataset, ModelParams, log_likelihood
+from .model import Dataset, InvalidParameterError, ModelParams, log_likelihood
 from .em import (
     ConstraintSpec,
     EmConfig,
-    EmptyComponentError,
     FitResult,
     SingularComponentError,
+    Variant,
+    _em_lanes,
     multi_start_fit,
-    run_em,
 )
 
 __all__ = [
@@ -129,6 +130,43 @@ def _split_rngs(cv: CvConfig, n: int):
     return [np.random.default_rng(s) for s in base.spawn(K)]
 
 
+def _cv_grid(data, G, cs, warm_start, target, cv, em) -> list[tuple[float, int]]:
+    """(sum of test log-likelihoods, fallbacks) for every c in ``cs``.
+
+    Each split is drawn and subset once; the training fits of all c then run
+    together from ``warm_start``.  A training fit that fails hard contributes
+    the warm-start model's test log-likelihood instead and counts as a
+    fallback.  An invariant failure raises the error of the lowest c, earliest
+    split, as scoring the candidates one after another would.
+    """
+    for c in cs:
+        ConstraintSpec.constrained(c, target)     # validates c and the target
+    if not cs:
+        return []
+    totals = [0.0] * len(cs)
+    fallbacks = [0] * len(cs)
+    invalid = None
+    for rng in _split_rngs(cv, data.n):
+        train_idx, test_idx = make_split(data.n, cv.test_fraction, rng)
+        train = data.subset(train_idx)
+        test = data.subset(test_idx)
+        fits = _em_lanes(train, G, Variant.CONC, em, [(warm_start, c) for c in cs])
+        for i, fit in enumerate(fits):
+            if isinstance(fit, InvalidParameterError):
+                if invalid is None or i < invalid[0]:
+                    invalid = (i, fit)
+                break
+            if isinstance(fit, SingularComponentError):
+                model = warm_start
+                fallbacks[i] += 1
+            else:
+                model = fit.params
+            totals[i] += log_likelihood(test, model)
+    if invalid is not None:
+        raise invalid[1]
+    return list(zip(totals, fallbacks))
+
+
 def cv_loglik(
     data: Dataset,
     G: int,
@@ -143,27 +181,15 @@ def cv_loglik(
     A training fit that fails hard contributes the warm-start model's test
     log-likelihood instead and is counted in ``n_fallback``.
     """
-    spec = ConstraintSpec.constrained(c, target)
-    total = 0.0
-    n_fallback = 0
-    for rng in _split_rngs(cv, data.n):
-        train_idx, test_idx = make_split(data.n, cv.test_fraction, rng)
-        train = data.subset(train_idx)
-        test = data.subset(test_idx)
-        try:
-            fit = run_em(train, G, spec, em, warm_start)
-            model = fit.params
-        except (SingularComponentError, EmptyComponentError):
-            model = warm_start
-            n_fallback += 1
-        total += log_likelihood(test, model)
+    ((total, n_fallback),) = _cv_grid(data, G, [c], warm_start, target, cv, em)
     return CvScore(total, n_fallback)
 
 
-def _estimate_target(data: Dataset, G: int, cv: CvConfig, em: EmConfig, n_starts: int) -> float:
+def _estimate_target(data: Dataset, G: int, seed, em: EmConfig, n_starts: int) -> float:
+    """Homoscedastic variance of a preliminary pool, the clamp target of ConC."""
     hom = multi_start_fit(
         data, G, ConstraintSpec.homoscedastic(), em, n_starts,
-        seed=np.random.SeedSequence(entropy=cv.seed, spawn_key=(0,)),
+        seed=np.random.SeedSequence(entropy=seed, spawn_key=(0,)),
     )
     return float(hom.params.variances[0])
 
@@ -180,22 +206,17 @@ def select_c(data: Dataset, G: int, cv: CvConfig, em: EmConfig, n_starts: int) -
     temporary estimate's variance ratio have no training fit and are recorded
     with a score of -inf.  Ties break toward the largest c.
     """
-    target = _estimate_target(data, G, cv, em, n_starts)
+    target = _estimate_target(data, G, cv.seed, em, n_starts)
     warm = multi_start_fit(
         data, G, ConstraintSpec.constrained(cv.c_grid[0], target), em, n_starts,
         seed=np.random.SeedSequence(entropy=cv.seed, spawn_key=(1,)),
     )
     variances = warm.params.variances
     warm_ratio = float(variances.min() / variances.max())
-    rows = []
-    warm_params = {}
-    for c in cv.c_grid:
-        warm_params[c] = warm.params
-        if warm_ratio < c * (1.0 - 1e-9):
-            rows.append(CvRow(c, -math.inf, 0))
-            continue
-        score = cv_loglik(data, G, c, warm.params, target, cv, em)
-        rows.append(CvRow(c, score.total, score.n_fallback))
+    feasible = [c for c in cv.c_grid if not warm_ratio < c * (1.0 - 1e-9)]
+    scores = dict(zip(feasible, _cv_grid(data, G, feasible, warm.params, target, cv, em)))
+    rows = [CvRow(c, *scores[c]) if c in scores else CvRow(c, -math.inf, 0) for c in cv.c_grid]
+    warm_params = {c: warm.params for c in cv.c_grid}
     best = -np.inf
     selected = rows[0].c
     for row in rows:

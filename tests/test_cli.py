@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from clustreg import Dataset
+from clustreg import Dataset, EmConfig
 from clustreg.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
@@ -12,6 +12,7 @@ from clustreg.cli import (
     main,
 )
 from clustreg.io import CsvSchema, write_csv
+from clustreg.tuning import _estimate_target
 from conftest import make_two_line_data
 
 
@@ -127,6 +128,19 @@ class TestFit:
         ])
         assert code == EXIT_OK
         assert json.loads(out.read_text())["target_variance"] > 0
+
+    def test_conc_default_target_is_tune_estimate(self, data_csv, tmp_path):
+        # fit and tune derive the clamp target from the same seeded pool
+        out = tmp_path / "conc3.json"
+        code = run([
+            "fit", "--input", str(data_csv), "--response", "y",
+            "--regressors", "x", "--components", "2", "--variant", "conc",
+            "--c", "0.5", "--starts", "3", "--seed", "6", "--output", str(out),
+        ])
+        assert code == EXIT_OK
+        data, _, _ = make_two_line_data(seed=80, n=60)
+        want = _estimate_target(data, 2, 6, EmConfig(), 3)
+        assert json.loads(out.read_text())["target_variance"] == want
 
     def test_plot_data_emit(self, data_csv, tmp_path):
         out = tmp_path / "plot.csv"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -358,6 +359,17 @@ class TestRunEm:
         fit = run_em(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(), init)
         assert fit.degenerate
 
+    def test_zero_responsibility_component_is_singular(self):
+        # A component with zero weight gets zero responsibility everywhere;
+        # the normal equations reject it before any variance update could
+        # find it empty.
+        data, _, _ = make_two_line_data(seed=27, n=40)
+        init = ModelParams(
+            np.array([1.0, 0.0]), np.array([[2.0, 3.0], [-1.0, -2.0]]), np.array([1.0, 1.0]))
+        with pytest.raises(SingularComponentError, match="effective sample size 0 < 2") as info:
+            run_em(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(), init)
+        assert info.value.component == 1
+
     def test_conc_requires_feasible_init(self):
         data, _, _ = make_two_line_data(seed=18, n=40)
         spec = ConstraintSpec.constrained(0.9, 1.0)
@@ -449,10 +461,15 @@ class TestMultiStart:
     def test_tiny_response_scale_raises_invalid_parameter(self, spec):
         # Variances of responses scaled by 1e-200 underflow to zero in the
         # first M-step; the candidate invariant check must reject that.
+        # A start that fails the check leaves before its E-step, so no
+        # log(0) warning is emitted on the way.
         data, _, _ = make_two_line_data(seed=26, n=40)
         tiny = Dataset(data.responses * 1e-200, data.design)
-        with pytest.raises(InvalidParameterError):
-            multi_start_fit(tiny, 2, spec, EmConfig(), 5, seed=12)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidParameterError, match="^variances must be strictly positive$"):
+                multi_start_fit(tiny, 2, spec, EmConfig(), 5, seed=12)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_deterministic(self):
         data, _, _ = make_two_line_data(seed=24, n=60)

@@ -162,6 +162,23 @@ class TestSelectC:
         assert set(report.warm_start_params) == set(cv.c_grid)
         assert report.target_variance > 0
 
+    def test_rows_match_per_c_cv_loglik(self):
+        # the grid trains every c of a split together; each row must equal
+        # scoring that c on its own
+        data, _, _ = make_two_line_data(seed=34, n=60)
+        cv = CvConfig(n_repeats=4, c_grid=(0.01, 0.05, 0.2, 0.5, 1.0), seed=9)
+        em = EmConfig()
+        report = select_c(data, 2, cv, em, 3)
+        warm = report.warm_start_params[cv.c_grid[0]]
+        finite = 0
+        for row in report.rows:
+            if row.cv_loglik == -math.inf:
+                continue
+            finite += 1
+            score = cv_loglik(data, 2, row.c, warm, report.target_variance, cv, em)
+            assert (row.cv_loglik, row.n_fallback) == (score.total, score.n_fallback)
+        assert finite >= 2
+
     def test_deterministic(self):
         data, _, _ = make_two_line_data(seed=34, n=60)
         cv = CvConfig(n_repeats=3, c_grid=(0.05, 0.5, 1.0), seed=6)
