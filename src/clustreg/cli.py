@@ -8,6 +8,7 @@ degenerate.  Diagnostics go to stderr one record per line, prefixed
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -220,18 +221,12 @@ def _cmd_tune(args) -> int:
 
 
 def _scenario_from_dict(d: dict) -> ScenarioSpec:
-    return ScenarioSpec(
-        n=d["n"],
-        G=d["G"],
-        mixing=tuple(d["mixing"]),
-        intercepts=tuple(d["intercepts"]),
-        n_regressors=d.get("n_regressors", 3),
-        coef_low=d.get("coef_low", -1.5),
-        coef_high=d.get("coef_high", 1.5),
-        variance_shape=d.get("variance_shape", 3.0),
-        variance_scale=d.get("variance_scale", 1.0),
-        name=d.get("name", ""),
-    )
+    # keys a scenario does not have are ignored; absent ones take its defaults
+    names = {f.name for f in dataclasses.fields(ScenarioSpec)}
+    try:
+        return ScenarioSpec(**{k: v for k, v in d.items() if k in names})
+    except TypeError as exc:
+        raise UsageError(f"scenario: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -267,14 +262,10 @@ def _cmd_simulate(args) -> int:
 
 def _read_labels(spec: str) -> np.ndarray:
     path, _, column = spec.partition(":")
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        rows = [r for r in _csv.reader(fh) if r and any(c.strip() for c in r)]
-    header = [c.strip() for c in rows[0]]
-    body = rows[1:]
+    rows = io._read_rows(path)
+    header = [c.strip() for c in rows[0][1]]
     col = header.index(column) if column else 0
-    raw = [r[col].strip() for r in body]
+    raw = [r[col].strip() for _, r in rows[1:]]
     names = tuple(dict.fromkeys(raw))
     return np.array([names.index(v) for v in raw])
 

@@ -14,17 +14,22 @@ stored in a ConstraintSpec seeds the starting values and the feasibility check
 of the initial guess.
 
 There is one EM loop, the private lane kernel ``_em_lanes``.  It advances a
-batch of members -- the starts of a pool, or the candidate values of c on
-one CV split -- together: weights, coefficients, variances and posteriors
-carry a leading member axis, so one iteration is a few NumPy calls whatever
-the batch size.  The batch holds at most ``2**14 // (G*n)`` members (a fixed
-budget of posterior elements, read off the input).  A member leaves as soon
-as it converges, hits the iteration cap, degenerates, has a step rejected or
-fails a check, and its lane is refilled with the next start, initialised
-only then, in start order, on its own seed stream.  Every per-member
-operation is the same floating-point arithmetic as a run on its own, so a
-member's result does not depend on which others share its batch.  ``run_em``
-is the one-member call.
+batch of members -- the starts of a pool, or every split x feasible c of a
+CV grid -- together: weights, coefficients, variances and posteriors carry a
+leading member axis, so one iteration is a few NumPy calls whatever the
+batch size.  Members may run on different samples of one size (the training
+sets of a CV grid); each carries the slot of its sample, and a batch whose
+members share one sample broadcasts it instead.  The batch holds at most
+``2**14 // (G*n)`` members (a fixed budget of posterior elements, read off
+the input).  A member leaves as soon as it converges, hits the iteration
+cap, degenerates, has a step rejected or fails a check, and its lane is
+refilled with the next member; a start is initialised only then, in start
+order, on its own seed stream.  A member leaves as raw arrays (parameters,
+log-likelihood, trace and flags), and only a caller that returns a FitResult
+builds one, recomputing its posteriors then.  Every per-member operation is
+the same floating-point arithmetic as a run on its own, so a member's
+result does not depend on which others share its batch.  ``run_em`` is the
+one-member call.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +49,7 @@ from .model import (
     Responsibilities,
     _check_params,
     _e_step_arrays,
+    _residual_rows,
     _residuals,
     posterior_probs,
     classify,
@@ -185,6 +192,40 @@ class FitResult:
     param_history: tuple = ()   # per-iteration ModelParams when requested
 
 
+class _Run(NamedTuple):
+    """A member's end state as the EM kernel leaves it; ``fit(data)`` makes the FitResult.
+
+    The posteriors are not kept: they are a function of the parameters, and
+    ``fit`` recomputes them with the same arithmetic as the member's last
+    E-step, so only the fits a caller returns pay for them.
+    """
+
+    weights: np.ndarray
+    coefficients: np.ndarray
+    variances: np.ndarray
+    loglik: float
+    trace: list
+    converged: bool
+    degenerate: bool
+    iterations: int
+    history: tuple
+
+    def fit(self, data: Dataset) -> FitResult:
+        params = ModelParams(self.weights, self.coefficients, self.variances)
+        resp = posterior_probs(data, params)
+        return FitResult(
+            params=params,
+            loglik=self.loglik,
+            loglik_trace=np.array(self.trace),
+            responsibilities=resp,
+            labels=classify(resp),
+            converged=self.converged,
+            degenerate=self.degenerate,
+            iterations=self.iterations,
+            param_history=self.history,
+        )
+
+
 def e_step(data: Dataset, params: ModelParams) -> Responsibilities:
     """Posterior membership probabilities (delegates to the model core)."""
     return posterior_probs(data, params)
@@ -198,19 +239,22 @@ def m_step_weights(resp: Responsibilities) -> np.ndarray:
 def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarray):
     """Weighted least squares of A members at once: ((A, G, J) coefficients, failures).
 
-    Xt is the (J, n) transposed design, Z the (A, G, n) responsibilities and
-    totals their (A, G) row sums.  A member with a component whose effective
-    sample size is below J, or whose cross-product matrix has a condition
-    number above the limit, is not solved: its rows stay NaN and ``failures``
-    lists (member, SingularComponentError) for its first such component.
+    Xt holds (S, J, n) transposed designs and y (S, 1, n) responses, S being
+    1 (shared by every member) or A; Z holds the (A, G, n) responsibilities
+    and totals their (A, G) row sums.  A member with a component whose
+    effective sample size is below J, or whose cross-product matrix has a
+    condition number above the limit, is not solved: its rows stay NaN and
+    ``failures`` lists (member, SingularComponentError) for its first such
+    component.
     """
     # b is summed by einsum rather than BLAS: near a fixed point the stopping
     # iteration hangs on last bits, and this order keeps the scale-equivariance
     # acceptance check (criterion 3) passing.
-    J = Xt.shape[0]
+    J = Xt.shape[-2]
+    Xt = Xt[:, None]
     XZ = Xt * Z[..., None, :]                     # (A, G, J, n)
-    A = XZ @ Xt.T                                 # (A, G, J, J)
-    b = np.einsum("...jn,n->...j", XZ, y)         # (A, G, J)
+    A = XZ @ Xt.swapaxes(-1, -2)                  # (A, G, J, J)
+    b = np.einsum("...jn,...n->...j", XZ, y)      # (A, G, J)
     eig = np.abs(np.linalg.eigvalsh(A))
     with np.errstate(divide="ignore", invalid="ignore"):
         conds = eig.max(axis=-1) / eig.min(axis=-1)
@@ -242,7 +286,8 @@ def m_step_betas(data: Dataset, resp: Responsibilities) -> np.ndarray:
     """
     Z = resp.probs.T
     betas, failures = _solve_betas(
-        np.ascontiguousarray(data.design.T), data.responses, Z[None], Z.sum(axis=1)[None])
+        np.ascontiguousarray(data.design.T)[None], data.responses[None, None],
+        Z[None], Z.sum(axis=1)[None])
     if failures:
         raise failures[0][1]
     return betas[0]
@@ -356,26 +401,42 @@ def _check_init(G: int, variant: Variant, c, init: ModelParams) -> None:
             )
 
 
-def _em_lanes(data: Dataset, G: int, variant: Variant, config: EmConfig, members,
+def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
               keep_history: bool = False) -> list:
     """The EM loop: advance a stream of members together, a bounded number at a time.
 
-    ``members`` yields ``(init, c)`` in member order, c being the constant of
-    a constrained member; an exception in place of ``init`` is that member's
-    outcome.  Returns one outcome per member: its FitResult, the
-    SingularComponentError that stopped it, or the InvalidParameterError of a
-    failed invariant check.  After an invariant failure no further member is
-    admitted, so the outcomes may end early.
+    ``samples`` holds one or more datasets of one size.  ``members`` yields
+    ``(slot, init, c)`` in member order: the member runs on ``samples[slot]``
+    from ``init``, c being the constant of a constrained member; an exception
+    in place of ``init`` is that member's outcome.  Returns one outcome per
+    member: its _Run, the SingularComponentError that stopped it, or the
+    InvalidParameterError of a failed invariant check.  After an invariant
+    failure no further member is admitted, so the outcomes may end early;
+    members admitted before it still run to their end.
     """
-    n = data.n
-    Xt, y = np.ascontiguousarray(data.design.T), data.responses
-    floor = config.resolve_floor(data)
+    n = samples[0].n
+    # (S, n, J) designs, (S, J, n) transposes and (S, 1, n) responses.  Both
+    # design layouts are kept because BLAS rounds them differently.  With one
+    # sample S = 1 broadcasts over the lanes; otherwise the lanes' rows are
+    # gathered where they are used, so only one gathered copy is alive at once.
+    X = np.stack([s.design for s in samples])
+    Xt = np.ascontiguousarray(X.swapaxes(-1, -2))
+    Y = np.stack([s.responses for s in samples])[:, None, :]
+    floors = np.array([config.resolve_floor(s) for s in samples])
+    shared = len(samples) == 1
+
+    def rows(stack, slots):
+        return stack if shared else stack[slots]
+
+    def residuals(slots, betas):
+        return _residual_rows(rows(Y, slots), rows(X, slots), betas)
+
     lanes = max(1, _LANE_BUDGET // (G * n))
     source = iter(members)
     outcomes, traces, history = [], {}, {}
-    # Lane state, one row per active member: id (member index), w/b/v
-    # (weights, coefficients, variances), p/u (posteriors, underflow mask),
-    # ll (log-likelihood), it (iterations) and root (sqrt c).
+    # Lane state, one row per active member: id (member index), slot (its
+    # sample), w/b/v (weights, coefficients, variances), p (posteriors), ll
+    # (log-likelihood), it (iterations) and root (sqrt c).
     lane = None
     open_ = True      # members left to admit
 
@@ -383,17 +444,11 @@ def _em_lanes(data: Dataset, G: int, variant: Variant, config: EmConfig, members
         k = int(lane["id"][a])
         trace, hist = traces.pop(k), history.pop(k, None)
         if outcome is None:
-            resp = Responsibilities(lane["p"][a].T, underflow=lane["u"][a])
-            outcome = FitResult(
-                params=ModelParams(lane["w"][a], lane["b"][a], lane["v"][a]),
-                loglik=float(lane["ll"][a]),
-                loglik_trace=np.array(trace),
-                responsibilities=resp,
-                labels=classify(resp),
-                converged=bool(converged),
-                degenerate=bool(degenerate),
-                iterations=int(lane["it"][a]),
-                param_history=tuple(hist) if hist is not None else (),
+            # copies, so an outcome does not hold the whole batch's arrays
+            outcome = _Run(
+                lane["w"][a].copy(), lane["b"][a].copy(), lane["v"][a].copy(),
+                float(lane["ll"][a]), trace, bool(converged), bool(degenerate), int(lane["it"][a]),
+                tuple(hist) if hist is not None else (),
             )
         outcomes[k] = outcome
 
@@ -411,18 +466,19 @@ def _em_lanes(data: Dataset, G: int, variant: Variant, config: EmConfig, members
             if item is None:
                 open_ = False
                 break
-            init, c = item
+            slot, init, c = item
             outcomes.append(init)
             if not isinstance(init, Exception):
                 _check_init(G, variant, c, init)
-                fresh.append((len(outcomes) - 1, init, 1.0 if c is None else c))
+                fresh.append((len(outcomes) - 1, slot, init, 1.0 if c is None else c))
         if fresh:
-            ids, inits, cs = zip(*fresh)
+            ids, slots, inits, cs = zip(*fresh)
+            slots = np.array(slots)
             W = np.array([p.weights for p in inits])
             B = np.array([p.coefficients for p in inits])
             V = np.array([p.variances for p in inits])
-            ll, P, U = _e_step_arrays(_residuals(data, B), W, V)
-            new = dict(id=np.array(ids), w=W, b=B, v=V, p=P, u=U, ll=ll,
+            ll, P, _ = _e_step_arrays(residuals(slots, B), W, V)
+            new = dict(id=np.array(ids), slot=slots, w=W, b=B, v=V, p=P, ll=ll,
                        it=np.zeros(len(ids), dtype=np.intp), root=np.sqrt(cs))
             lane = new if lane is None else {k: np.concatenate([lane[k], new[k]]) for k in lane}
             for k, init, v in zip(ids, inits, ll.tolist()):
@@ -435,7 +491,8 @@ def _em_lanes(data: Dataset, G: int, variant: Variant, config: EmConfig, members
         # M-step; a member with a singular component leaves
         totals = lane["p"].sum(axis=-1)
         weights = totals / n
-        betas, failures = _solve_betas(Xt, y, lane["p"], totals)
+        betas, failures = _solve_betas(
+            rows(Xt, lane["slot"]), rows(Y, lane["slot"]), lane["p"], totals)
         if failures:
             ok = np.ones(lane["id"].size, dtype=bool)
             for a, exc in failures:
@@ -444,12 +501,12 @@ def _em_lanes(data: Dataset, G: int, variant: Variant, config: EmConfig, members
             totals, weights, betas = keep(ok, totals, weights, betas)
             if lane["id"].size == 0:
                 continue
-        resid = _residuals(data, betas)
+        resid = residuals(lane["slot"], betas)
         ss = _weighted_ss(lane["p"], resid)
         variances = _update_variances(ss, totals, n, variant, lane["root"])
         degenerate = np.zeros(lane["id"].size, dtype=bool)
         if variant is Variant.HETN:
-            degenerate = variances.min(axis=-1) < floor
+            degenerate = variances.min(axis=-1) < floors[lane["slot"]]
             if degenerate.any():
                 floored = np.maximum(variances, np.finfo(float).tiny)
                 variances = np.where(degenerate[:, None], floored, variances)
@@ -469,7 +526,7 @@ def _em_lanes(data: Dataset, G: int, variant: Variant, config: EmConfig, members
         # E-step, then reject or accept the step.  The moving clamp target
         # makes the constrained update an inexact maximization; a step that
         # lowers the objective is rejected and ends the run.
-        ll, P, U = _e_step_arrays(resid, weights, variances)
+        ll, P, _ = _e_step_arrays(resid, weights, variances)
         old = lane["ll"]
         rejected = ~degenerate & (ll < old)
         for a in np.flatnonzero(rejected):
@@ -477,7 +534,7 @@ def _em_lanes(data: Dataset, G: int, variant: Variant, config: EmConfig, members
         with np.errstate(invalid="ignore"):
             converged = np.isfinite(ll) & (abs(ll - old) <= config.tolerance * (1.0 + abs(ll)))
         capped = lane["it"] >= config.max_iterations
-        lane.update(w=weights, b=betas, v=variances, p=P, u=U, ll=ll)
+        lane.update(w=weights, b=betas, v=variances, p=P, ll=ll)
         for a, (k, v, r) in enumerate(zip(lane["id"].tolist(), ll.tolist(), rejected.tolist())):
             if not r:
                 traces[k].append(v)
@@ -506,10 +563,10 @@ def run_em(
     (heteroscedastic only) when a variance falls below the floor, in which
     case the fit is flagged degenerate.
     """
-    (outcome,) = _em_lanes(data, G, spec.variant, config, [(init, spec.c)], keep_history)
+    (outcome,) = _em_lanes([data], G, spec.variant, config, [(0, init, spec.c)], keep_history)
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome
+    return outcome.fit(data)
 
 
 def _starts(data: Dataset, G: int, spec: ConstraintSpec, children):
@@ -519,7 +576,7 @@ def _starts(data: Dataset, G: int, spec: ConstraintSpec, children):
             init = initialize(data, G, spec, child)
         except SingularComponentError as exc:
             init = exc
-        yield init, spec.c
+        yield 0, init, spec.c
 
 
 def multi_start_fit(
@@ -544,28 +601,32 @@ def multi_start_fit(
         raise ValueError("n_starts must be >= 1")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     starts = _starts(data, G, spec, base.spawn(n_starts))
-    outcomes = _em_lanes(data, G, spec.variant, config, starts)
+    outcomes = _em_lanes([data], G, spec.variant, config, starts)
     for res in outcomes:
         if isinstance(res, InvalidParameterError):
             raise res
     best = None
     best_degenerate = None
     errors = []
-    for res in outcomes:
+    for i, res in enumerate(outcomes):
         if isinstance(res, Exception):
             errors.append(res)
             continue
         if res.degenerate:
-            if best_degenerate is None or res.loglik > best_degenerate.loglik:
-                best_degenerate = res
+            if best_degenerate is None or res.loglik > outcomes[best_degenerate].loglik:
+                best_degenerate = i
         else:
-            if best is None or res.loglik > best.loglik:
-                best = res
+            if best is None or res.loglik > outcomes[best].loglik:
+                best = i
     winner = best if best is not None else best_degenerate
     if winner is None:
         raise MultiStartError(
             f"all {n_starts} starts failed: " + "; ".join(str(e) for e in errors)
         )
-    if return_all:
-        return winner, outcomes
-    return winner
+    if not return_all:
+        return outcomes[winner].fit(data)
+    # in place, so each start's raw arrays are freed as its FitResult is built
+    for i, res in enumerate(outcomes):
+        if isinstance(res, _Run):
+            outcomes[i] = res.fit(data)
+    return outcomes[winner], outcomes

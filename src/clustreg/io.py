@@ -102,13 +102,19 @@ def _parse_cell(cell, line_no, col_name):
     return value
 
 
-def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Parse a delimited file into a Dataset per the schema."""
+def _read_rows(path, delimiter: str = ",") -> list:
+    """(line number, fields) of every non-blank row; CsvFormatError if there is none."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+        reader = csv.reader(fh, delimiter=delimiter)
         rows = [(i + 1, row) for i, row in enumerate(reader) if row and any(c.strip() for c in row)]
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
+    return rows
+
+
+def load_csv(path, schema: CsvSchema) -> Dataset:
+    """Parse a delimited file into a Dataset per the schema."""
+    rows = _read_rows(path, schema.delimiter)
     header = None
     if schema.has_header:
         header = [c.strip() for c in rows[0][1]]
@@ -183,10 +189,8 @@ def load_benchmark(name: str, path=None) -> LabeledDataset:
                 "no bundled copy of the CEO data (source link unstable); pass a local path"
             )
         path = bundled_path(f"{name}.csv")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
-    header = [c.strip() for c in rows[0]]
+    rows = _read_rows(path)
+    header = [c.strip() for c in rows[0][1]]
     body = rows[1:]
     labels = None
     label_names = ()
@@ -209,7 +213,7 @@ def load_benchmark(name: str, path=None) -> LabeledDataset:
         species_col = _find_column(header, ("species", "class"), "species")
         y_name, x_names = "petal_width", ["sepal_width"]
         x_cols = [x_col]
-        raw = [row[species_col].strip() for row in body]
+        raw = [row[species_col].strip() for _, row in body]
         label_names = tuple(dict.fromkeys(raw))
         labels = np.array([label_names.index(s) for s in raw])
     n = len(body)
@@ -222,10 +226,10 @@ def load_benchmark(name: str, path=None) -> LabeledDataset:
         )
     y = np.empty(n)
     X = np.empty((n, len(x_cols)))
-    for r, row in enumerate(body):
-        y[r] = _parse_cell(row[y_col].strip(), r + 2, y_name)
+    for r, (line_no, row) in enumerate(body):
+        y[r] = _parse_cell(row[y_col].strip(), line_no, y_name)
         for j, c in enumerate(x_cols):
-            X[r, j] = _parse_cell(row[c].strip(), r + 2, x_names[j])
+            X[r, j] = _parse_cell(row[c].strip(), line_no, x_names[j])
     design = np.column_stack([np.ones(n), X])
     data = Dataset(y, design, ("intercept", *x_names))
     return LabeledDataset(data, true_labels=labels, label_names=label_names)

@@ -181,11 +181,19 @@ def component_density(y: float, x, beta, sigma2: float) -> float:
     return float(np.exp(-0.5 * np.log(2.0 * np.pi * sigma2) - resid * resid / (2.0 * sigma2)))
 
 
+def _residual_rows(responses, design, coefficients):
+    """y_i - x_i' beta_g, one row per component: (..., G, n) from (..., G, J) coefficients.
+
+    ``responses`` is (..., n) or (..., 1, n) and ``design`` (..., n, J); their
+    leading axes broadcast against the coefficients' member axes.
+    """
+    return responses - coefficients @ design.swapaxes(-1, -2)
+
+
 def _residuals(data: Dataset, coefficients: np.ndarray) -> np.ndarray:
-    """y_i - x_i' beta_g, one row per component: (..., G, n) from (..., G, J) coefficients."""
     if coefficients.shape[-1] != data.n_features:
         raise ValueError("parameter and design dimensions disagree")
-    return data.responses - coefficients @ data.design.T
+    return _residual_rows(data.responses, data.design, coefficients)
 
 
 def _log_density(resid, weights, variances):
@@ -220,17 +228,17 @@ def _e_step_arrays(resid, weights, variances):
     return loglik, E / total[..., None, :], bad
 
 
+_UNDERFLOW_WARNING = (
+    "mixture density underflowed to zero for some observations; log-likelihood is -inf"
+)
+
+
 def log_likelihood(data: Dataset, params: ModelParams) -> float:
     """Sample log-likelihood, stabilized per observation by max subtraction."""
     resid = _residuals(data, params.coefficients)
     loglik, _, bad = _e_step_arrays(resid, params.weights, params.variances)
     if bad.any():
-        warnings.warn(
-            "mixture density underflowed to zero for some observations; "
-            "log-likelihood is -inf",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(_UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
     return float(loglik)
 
 

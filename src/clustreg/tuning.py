@@ -4,19 +4,28 @@ The selection loop follows the repeated random-split recipe: one full-sample
 temporary estimate serves as the starting value for every training fit, then
 K train/test splits shared across the whole grid (common random numbers),
 scoring each trained model on its test set and summing the K test
-contributions.  Each split is drawn once and the training fits of every
-feasible c on it run as one batch of the EM kernel.
+contributions.  All splits are drawn first; the training fits of every
+split x feasible c then run as one batch of the EM kernel, and the trained
+models are scored on their test sets in one pass.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import Dataset, InvalidParameterError, ModelParams, log_likelihood
+from .model import (
+    _UNDERFLOW_WARNING,
+    Dataset,
+    InvalidParameterError,
+    ModelParams,
+    _e_step_arrays,
+    _residual_rows,
+)
 from .em import (
     ConstraintSpec,
     EmConfig,
@@ -133,38 +142,43 @@ def _split_rngs(cv: CvConfig, n: int):
 def _cv_grid(data, G, cs, warm_start, target, cv, em) -> list[tuple[float, int]]:
     """(sum of test log-likelihoods, fallbacks) for every c in ``cs``.
 
-    Each split is drawn and subset once; the training fits of all c then run
-    together from ``warm_start``.  A training fit that fails hard contributes
-    the warm-start model's test log-likelihood instead and counts as a
-    fallback.  An invariant failure raises the error of the lowest c, earliest
-    split, as scoring the candidates one after another would.
+    Every split is drawn and its training set subset first; the training fits
+    of every (c, split) pair then run as one kernel batch from
+    ``warm_start``, and every trained model is scored on its test set in one
+    pass.  A training fit that fails hard is scored with the warm-start model
+    instead and counts as a fallback.  If training fits fail the parameter
+    invariant check, the error raised is that of the lowest such c and, for
+    that c, the earliest split.  Members enter the batch in that order and
+    every member admitted before a failure runs to its end, so the pairs the
+    kernel no longer admits after one cannot hold an earlier failure.
     """
     for c in cs:
         ConstraintSpec.constrained(c, target)     # validates c and the target
     if not cs:
         return []
-    totals = [0.0] * len(cs)
-    fallbacks = [0] * len(cs)
-    invalid = None
-    for rng in _split_rngs(cv, data.n):
-        train_idx, test_idx = make_split(data.n, cv.test_fraction, rng)
-        train = data.subset(train_idx)
-        test = data.subset(test_idx)
-        fits = _em_lanes(train, G, Variant.CONC, em, [(warm_start, c) for c in cs])
-        for i, fit in enumerate(fits):
-            if isinstance(fit, InvalidParameterError):
-                if invalid is None or i < invalid[0]:
-                    invalid = (i, fit)
-                break
-            if isinstance(fit, SingularComponentError):
-                model = warm_start
-                fallbacks[i] += 1
-            else:
-                model = fit.params
-            totals[i] += log_likelihood(test, model)
-    if invalid is not None:
-        raise invalid[1]
-    return list(zip(totals, fallbacks))
+    splits = [make_split(data.n, cv.test_fraction, rng) for rng in _split_rngs(cv, data.n)]
+    K = len(splits)
+    trains = [data.subset(train) for train, _ in splits]
+    members = [(k, warm_start, c) for c in cs for k in range(K)]
+    fits = _em_lanes(trains, G, Variant.CONC, em, members)
+    for fit in fits:
+        if isinstance(fit, InvalidParameterError):
+            raise fit
+    fallback = np.array([isinstance(fit, SingularComponentError) for fit in fits])
+    models = [warm_start if failed else fit for fit, failed in zip(fits, fallback)]
+    weights = np.array([m.weights for m in models])
+    coefficients = np.array([m.coefficients for m in models])
+    variances = np.array([m.variances for m in models])
+    test = np.array([t for _, t in splits])[np.tile(np.arange(K), len(cs))]
+    resid = _residual_rows(data.responses[test][:, None, :], data.design[test], coefficients)
+    loglik, _, bad = _e_step_arrays(resid, weights, variances)
+    if bad.any():
+        warnings.warn(_UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
+    # cumsum adds the splits one by one in split order, as a running total
+    # does; a pairwise sum would round differently
+    totals = np.cumsum(loglik.reshape(len(cs), K), axis=1)[:, -1]
+    counts = fallback.reshape(len(cs), K).sum(axis=1)
+    return list(zip(totals.tolist(), counts.tolist()))
 
 
 def cv_loglik(

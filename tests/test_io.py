@@ -150,6 +150,12 @@ class TestBenchmarks:
         with pytest.raises(ValueError, match="unknown"):
             load_benchmark("wine")
 
+    def test_empty_local_file(self, tmp_path):
+        p = tmp_path / "iris.csv"
+        p.write_text("\n \n")
+        with pytest.raises(CsvFormatError, match="empty"):
+            load_benchmark("iris", path=p)
+
 
 @pytest.fixture(scope="module")
 def small_fit():

@@ -13,6 +13,7 @@ from clustreg import (
     multi_start_fit,
     run_em,
 )
+from clustreg import em
 from clustreg.em import _em_lanes
 from conftest import make_two_line_data
 
@@ -96,6 +97,24 @@ class TestPoolParity:
         for got, want in zip(outcomes, reference):
             assert_same_outcome(got, want)
 
+    def test_only_the_winner_becomes_a_fit_result(self, temperature, monkeypatch):
+        built = []
+        real = em._Run.fit
+
+        def counting_fit(run, data):
+            built.append(run)
+            return real(run, data)
+
+        monkeypatch.setattr(em._Run, "fit", counting_fit)
+        args = (temperature, 5, ConstraintSpec.heteroscedastic(), EmConfig(), 100)
+        best = multi_start_fit(*args, seed=8)
+        assert len(built) == 1
+        winner, outcomes = multi_start_fit(*args, seed=8, return_all=True)
+        fits = [o for o in outcomes if not isinstance(o, Exception)]
+        assert len(built) == 1 + len(fits)
+        assert any(w is winner for w in fits)
+        assert_same_outcome(best, winner)
+
     def test_iteration_cap_stops_every_member(self, iris):
         _, outcomes = multi_start_fit(
             iris, 3, ConstraintSpec.heteroscedastic(), EmConfig(max_iterations=3), 60,
@@ -126,10 +145,10 @@ def test_result_independent_of_batch_composition(seeds, variant):
     spec = SPECS[variant]
     config = EmConfig(tolerance=1e-10)
     inits = [initialize(LANE_DATA, 2, spec, seed) for seed in seeds]
-    batch = _em_lanes(LANE_DATA, 2, spec.variant, config, [(init, spec.c) for init in inits])
+    batch = _em_lanes([LANE_DATA], 2, spec.variant, config, [(0, init, spec.c) for init in inits])
     assert len(batch) == len(seeds)
     for init, got in zip(inits, batch):
-        assert_same_outcome(got, run_em(LANE_DATA, 2, spec, config, init))
+        assert_same_outcome(got.fit(LANE_DATA), run_em(LANE_DATA, 2, spec, config, init))
 
 
 def test_single_member_history_matches_trace():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from clustreg import (
     CvRow,
     Dataset,
     EmConfig,
+    InvalidParameterError,
+    ModelParams,
+    SingularComponentError,
     cv_loglik,
     default_c_grid,
     fit_conc,
@@ -20,6 +24,7 @@ from clustreg import (
     run_em,
     select_c,
 )
+from clustreg import em, io, tuning
 from conftest import make_two_line_data
 
 
@@ -264,3 +269,108 @@ class TestFitConc:
         best_coarse = max(r.cv_loglik for r in rc.rows)
         best_fine = max(r.cv_loglik for r in rf.rows)
         assert best_fine >= best_coarse - 1e-6 * (1 + abs(best_coarse))
+
+
+def oracle_rows(data, G, report, cv, em_config):
+    """Reference CV rows: a one-member run_em per (c, split), scored by log_likelihood."""
+    warm = report.warm_start_params[cv.c_grid[0]]
+    ratio = float(warm.variances.min() / warm.variances.max())
+    streams = np.random.SeedSequence(cv.seed).spawn(cv.resolve_repeats(data.n))
+    splits = [make_split(data.n, cv.test_fraction, np.random.default_rng(s)) for s in streams]
+    rows = []
+    for c in cv.c_grid:
+        if ratio < c * (1.0 - 1e-9):
+            rows.append(CvRow(c, -math.inf, 0))
+            continue
+        spec = ConstraintSpec.constrained(c, report.target_variance)
+        total, fallbacks = 0.0, 0
+        for train, test in splits:
+            try:
+                model = run_em(data.subset(train), G, spec, em_config, warm).params
+            except SingularComponentError:
+                model = warm
+                fallbacks += 1
+            total += log_likelihood(data.subset(test), model)
+        rows.append(CvRow(c, total, fallbacks))
+    return rows
+
+
+class TestMergedGrid:
+    """select_c trains every split x feasible c in one kernel batch."""
+
+    @pytest.mark.parametrize("name, G, lane_budget", [
+        ("temperature", 5, None),
+        ("iris", 3, None),
+        # 4 lanes on temperature's 51-row training sets: lanes refill across
+        # split and c boundaries
+        ("temperature", 5, 5 * 51 * 4),
+    ])
+    def test_rows_equal_per_split_oracle(self, monkeypatch, name, G, lane_budget):
+        if lane_budget is not None:
+            monkeypatch.setattr(em, "_LANE_BUDGET", lane_budget)
+        data = io.load_benchmark(name).data
+        cv, em_config = CvConfig(seed=0), EmConfig()
+        report = select_c(data, G, cv, em_config, 10)
+        want = oracle_rows(data, G, report, cv, em_config)
+        assert list(report.rows) == want
+        assert any(r.cv_loglik == -math.inf for r in want)
+        if name == "temperature":
+            assert sum(r.n_fallback for r in want) > 0
+
+    def test_underflowing_test_set_scores_minus_inf_with_warning(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1, 1, 30)
+        # collinear columns make every training fit singular, so every split
+        # is scored with the warm start, whose density underflows everywhere
+        data = Dataset(1e5 + x + rng.normal(0, 0.1, 30), np.column_stack([np.ones(30), x, x]))
+        warm = ModelParams(np.array([1.0, 0.0]), np.zeros((2, 3)), np.full(2, 1e-300))
+        with np.errstate(over="ignore"), pytest.warns(RuntimeWarning, match="^mixture density"):
+            score = cv_loglik(data, 2, 0.5, warm, 1.0, CvConfig(n_repeats=2, seed=0), EmConfig())
+        assert score == (-math.inf, 2)
+
+
+class TestInvariantFailure:
+    """Responses scaled by 1e-200 make every training fit's variances underflow to 0."""
+
+    @staticmethod
+    def tiny_problem():
+        data, _, _ = make_two_line_data(seed=26, n=40)
+        tiny = Dataset(data.responses * 1e-200, data.design)
+        # equal components: the first E-step splits every point evenly, so no
+        # component empties before the variances underflow
+        warm = ModelParams(np.full(2, 0.5), np.zeros((2, 2)), np.ones(2))
+        return tiny, warm, 1.0
+
+    def test_select_c_and_cv_loglik_raise_without_warning(self):
+        tiny, warm, target = self.tiny_problem()
+        cv = CvConfig(n_repeats=3, c_grid=(0.1, 0.5, 1.0), seed=2)
+        message = "^variances must be strictly positive$"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidParameterError, match=message):
+                select_c(tiny, 2, cv, EmConfig(), 3)
+            with pytest.raises(InvalidParameterError, match=message):
+                cv_loglik(tiny, 2, 0.5, warm, target, cv, EmConfig())
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_error_of_lowest_c_then_earliest_split(self, monkeypatch):
+        # Two lanes: the first failure stops admission after two members, yet
+        # the error raised is the one of the lowest c on the earliest split.
+        tiny, warm, target = self.tiny_problem()
+        cv = CvConfig(n_repeats=3, c_grid=(0.1, 0.5, 1.0), seed=2)
+        monkeypatch.setattr(em, "_LANE_BUDGET", 2 * 36 * 2)
+        seen = {}
+
+        def recording_kernel(samples, G, variant, config, members):
+            members = list(members)
+            outcomes = em._em_lanes(samples, G, variant, config, members)
+            seen.update(members=members, outcomes=outcomes)
+            return outcomes
+
+        monkeypatch.setattr(tuning, "_em_lanes", recording_kernel)
+        with pytest.raises(InvalidParameterError) as info:
+            tuning._cv_grid(tiny, 2, list(cv.c_grid), warm, target, cv, EmConfig())
+        assert len(seen["outcomes"]) < len(seen["members"])
+        assert info.value is seen["outcomes"][0]
+        slot, _, c = seen["members"][0]
+        assert (slot, c) == (0, cv.c_grid[0])
