@@ -19,7 +19,6 @@ from .em import (
     SingularComponentError,
     EmptyComponentError,
     MultiStartError,
-    e_step,
     m_step_weights,
     m_step_betas,
     m_step_variances,

@@ -14,19 +14,17 @@ import sys
 
 import numpy as np
 
-from .model import Dataset, classify
+from .model import Dataset, ModelParams
 from .em import (
     ConstraintSpec,
     EmConfig,
     EmptyComponentError,
     MultiStartError,
     SingularComponentError,
-    Variant,
     multi_start_fit,
 )
 from .tuning import CvConfig, _estimate_target, fit_conc
 from .metrics import adjusted_rand, bic, param_mse
-from .model import ModelParams
 from .simulate import ScenarioSpec, StudyConfig, run_study
 from . import io
 
@@ -89,8 +87,8 @@ def _add_em_args(p):
     p.add_argument("--components", type=int, required=True, metavar="G")
     p.add_argument("--starts", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--max-iter", type=int, default=EmConfig.max_iterations)
+    p.add_argument("--tol", type=float, default=EmConfig.tolerance)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p_tune)
     _add_em_args(p_tune)
     p_tune.add_argument("--cv-repeats", type=int, help="default: ceil(n/5)")
-    p_tune.add_argument("--test-fraction", type=float, default=0.1)
+    p_tune.add_argument("--test-fraction", type=float, default=CvConfig.test_fraction)
     p_tune.add_argument("--c-grid", help="comma-separated candidate c values")
     p_tune.add_argument("--output", required=True)
     p_tune.add_argument("--emit", choices=("json", "plot-data"), default="json")
@@ -220,37 +218,28 @@ def _cmd_tune(args) -> int:
     return EXIT_OK
 
 
-def _scenario_from_dict(d: dict) -> ScenarioSpec:
-    # keys a scenario does not have are ignored; absent ones take its defaults
-    names = {f.name for f in dataclasses.fields(ScenarioSpec)}
+def _from_dict(cls, d: dict, fields=None, **values):
+    """``cls`` built from the keys of ``d`` that name its fields (or ``fields``).
+
+    Other keys are ignored, absent ones take the dataclass defaults, and
+    ``values`` override both.
+    """
+    names = fields or {f.name for f in dataclasses.fields(cls)}
     try:
-        return ScenarioSpec(**{k: v for k, v in d.items() if k in names})
+        return cls(**{**{k: v for k, v in d.items() if k in names}, **values})
     except TypeError as exc:
-        raise UsageError(f"scenario: {exc}") from None
+        raise UsageError(f"{cls.__name__}: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:
     with open(args.scenario_file) as fh:
         doc = json.load(fh)
-    cv_doc = doc.get("cv", {})
-    cv_kwargs = {
-        "n_repeats": cv_doc.get("n_repeats"),
-        "test_fraction": cv_doc.get("test_fraction", 0.1),
-        "seed": cv_doc.get("seed", doc.get("seed", 0)),
-    }
-    if "c_grid" in cv_doc:
-        cv_kwargs["c_grid"] = tuple(cv_doc["c_grid"])
-    config = StudyConfig(
-        scenarios=tuple(_scenario_from_dict(d) for d in doc["scenarios"]),
-        replications=doc.get("replications", 250),
-        n_starts=doc.get("n_starts", 10),
-        estimators=tuple(doc.get("estimators", ["homn", "hetn", "conc"])),
-        cv=CvConfig(**cv_kwargs),
-        em=EmConfig(
-            max_iterations=doc.get("max_iterations", 500),
-            tolerance=doc.get("tolerance", 1e-8),
-        ),
-        seed=doc.get("seed", 0),
+    # replication seeds, the CV splits' included, derive from the study seed
+    config = _from_dict(
+        StudyConfig, doc,
+        scenarios=tuple(_from_dict(ScenarioSpec, d) for d in doc["scenarios"]),
+        cv=_from_dict(CvConfig, doc.get("cv", {}), ("n_repeats", "test_fraction", "c_grid")),
+        em=_from_dict(EmConfig, doc, ("max_iterations", "tolerance")),
     )
     rows = run_study(config)
     if args.emit == "json":
@@ -262,12 +251,9 @@ def _cmd_simulate(args) -> int:
 
 def _read_labels(spec: str) -> np.ndarray:
     path, _, column = spec.partition(":")
-    rows = io._read_rows(path)
-    header = [c.strip() for c in rows[0][1]]
-    col = header.index(column) if column else 0
-    raw = [r[col].strip() for _, r in rows[1:]]
-    names = tuple(dict.fromkeys(raw))
-    return np.array([names.index(v) for v in raw])
+    header, rows = io._read_table(path)
+    col = io._column(column or 0, header, len(header), "label column")
+    return io._codes([r[col].strip() for _, r in rows])[1]
 
 
 def _cmd_evaluate(args) -> int:

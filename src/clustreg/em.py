@@ -63,7 +63,6 @@ __all__ = [
     "SingularComponentError",
     "EmptyComponentError",
     "MultiStartError",
-    "e_step",
     "m_step_weights",
     "m_step_betas",
     "m_step_variances",
@@ -224,11 +223,6 @@ class _Run(NamedTuple):
             iterations=self.iterations,
             param_history=self.history,
         )
-
-
-def e_step(data: Dataset, params: ModelParams) -> Responsibilities:
-    """Posterior membership probabilities (delegates to the model core)."""
-    return posterior_probs(data, params)
 
 
 def m_step_weights(resp: Responsibilities) -> np.ndarray:

@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from .model import Dataset, ModelParams, Responsibilities
-from .em import ConstraintSpec, FitResult, Variant
+from .em import ConstraintSpec, FitResult
 from .tuning import CvReport
 from .simulate import STUDY_COLUMNS
 
@@ -38,7 +38,16 @@ __all__ = [
     "bundled_path",
 ]
 
-BENCHMARK_SIZES = {"ceo": 59, "temperature": 56, "iris": 150}
+# name: (documented size, response aliases, regressor aliases, label aliases);
+# the first alias of each column is its name in the loaded Dataset
+_BENCHMARKS = {
+    "ceo": (59, ("salary", "sal", "ceo_salary", "y"), (("age", "ceo_age", "x"),), None),
+    "temperature": (56, ("temperature", "jan_temp", "jantemp", "temp", "y"),
+                    (("latitude", "lat"), ("longitude", "long", "lon")), None),
+    "iris": (150, ("petal_width", "petalwidth"), (("sepal_width", "sepalwidth"),),
+             ("species", "class")),
+}
+BENCHMARK_SIZES = {name: spec[0] for name, spec in _BENCHMARKS.items()}
 
 
 class CsvFormatError(ValueError):
@@ -77,73 +86,90 @@ class LabeledDataset:
             object.__setattr__(self, "true_labels", labels)
 
 
-def _resolve_column(spec, header, n_cols, what):
+def _column(spec, header, n_cols, what) -> int:
+    """Index of a column given by index, by header name, or by a tuple of aliases.
+
+    Aliases match header names case-insensitively, with spaces and dots read
+    as underscores.
+    """
     if isinstance(spec, int):
         if not (0 <= spec < n_cols):
             raise CsvFormatError(f"{what} index {spec} out of range (file has {n_cols} columns)")
         return spec
     if header is None:
         raise CsvFormatError(f"{what} given by name {spec!r} but the file has no header")
-    try:
-        return header.index(spec)
-    except ValueError:
-        raise CsvFormatError(f"{what} {spec!r} not found in header {header}") from None
+    if isinstance(spec, tuple):
+        lowered = [h.lower().replace(" ", "_").replace(".", "_") for h in header]
+        for alias in spec:
+            if alias in lowered:
+                return lowered.index(alias)
+        raise CsvFormatError(f"could not locate a {what} column among {header}")
+    if spec not in header:
+        raise CsvFormatError(f"{what} {spec!r} not found in header {header}")
+    return header.index(spec)
 
 
-def _parse_cell(cell, line_no, col_name):
-    try:
-        value = float(cell)
-    except ValueError:
-        raise CsvFormatError(
-            f"line {line_no}: cannot parse {cell!r} in column {col_name!r} as a number"
-        ) from None
-    if not math.isfinite(value):
-        raise CsvFormatError(f"line {line_no}: non-finite value in column {col_name!r}")
-    return value
+def _read_table(path, delimiter: str = ",", has_header: bool = True):
+    """(header or None, [(line number, fields)]) of every non-blank row.
 
-
-def _read_rows(path, delimiter: str = ",") -> list:
-    """(line number, fields) of every non-blank row; CsvFormatError if there is none."""
+    Raises CsvFormatError for an empty file, a header with no rows, or a row
+    whose field count differs from the header's (the first row's without one).
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         rows = [(i + 1, row) for i, row in enumerate(reader) if row and any(c.strip() for c in row)]
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
-    return rows
+    header = None
+    if has_header:
+        header = [c.strip() for c in rows.pop(0)[1]]
+        if not rows:
+            raise CsvFormatError(f"{path}: header but no data rows")
+    n_cols = len(header) if header is not None else len(rows[0][1])
+    for line_no, row in rows:
+        if len(row) != n_cols:
+            raise CsvFormatError(
+                f"{path}: line {line_no}: expected {n_cols} fields, found {len(row)}"
+            )
+    return header, rows
+
+
+def _to_dataset(rows, cols, names, add_intercept: bool) -> Dataset:
+    """Response from column ``cols[0]``, regressors from the rest, named by ``names``."""
+    values = np.empty((len(rows), len(cols)))
+    for r, (line_no, row) in enumerate(rows):
+        for j, c in enumerate(cols):
+            cell = row[c].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CsvFormatError(
+                    f"line {line_no}: cannot parse {cell!r} in column {names[j]!r} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise CsvFormatError(f"line {line_no}: non-finite value in column {names[j]!r}")
+            values[r, j] = value
+    X, x_names = values[:, 1:], tuple(names[1:])
+    if add_intercept:
+        X, x_names = np.column_stack([np.ones(len(rows)), X]), ("intercept", *x_names)
+    return Dataset(values[:, 0], X, x_names)
+
+
+def _codes(raw) -> tuple:
+    """(distinct values in order of first appearance, integer code of each value)."""
+    names = tuple(dict.fromkeys(raw))
+    return names, np.array([names.index(v) for v in raw])
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Parse a delimited file into a Dataset per the schema."""
-    rows = _read_rows(path, schema.delimiter)
-    header = None
-    if schema.has_header:
-        header = [c.strip() for c in rows[0][1]]
-        rows = rows[1:]
-        if not rows:
-            raise CsvFormatError(f"{path}: header but no data rows")
-    n_cols = len(header) if header is not None else len(rows[0][1])
-    y_col = _resolve_column(schema.response_column, header, n_cols, "response column")
-    x_cols = [
-        _resolve_column(c, header, n_cols, "regressor column") for c in schema.regressor_columns
-    ]
-    names = []
-    if schema.add_intercept:
-        names.append("intercept")
-    for c in schema.regressor_columns:
-        names.append(c if isinstance(c, str) else (header[c] if header else f"x{c}"))
-    y = np.empty(len(rows))
-    X = np.empty((len(rows), len(x_cols)))
-    for r, (line_no, row) in enumerate(rows):
-        if len(row) != n_cols:
-            raise CsvFormatError(
-                f"line {line_no}: expected {n_cols} fields, found {len(row)}"
-            )
-        y[r] = _parse_cell(row[y_col].strip(), line_no, str(schema.response_column))
-        for j, c in enumerate(x_cols):
-            X[r, j] = _parse_cell(row[c].strip(), line_no, names[j + schema.add_intercept])
-    if schema.add_intercept:
-        X = np.column_stack([np.ones(len(rows)), X])
-    return Dataset(y, X, tuple(names))
+    header, rows = _read_table(path, schema.delimiter, schema.has_header)
+    n_cols = len(rows[0][1])
+    specs = (schema.response_column, *schema.regressor_columns)
+    cols = [_column(specs[0], header, n_cols, "response column")]
+    cols += [_column(c, header, n_cols, "regressor column") for c in specs[1:]]
+    names = [c if isinstance(c, str) else (header[c] if header else f"x{c}") for c in specs]
+    return _to_dataset(rows, cols, names, schema.add_intercept)
 
 
 def write_csv(data: Dataset, path, delimiter: str = ",") -> None:
@@ -166,14 +192,6 @@ def bundled_path(filename: str):
     return resources.files("clustreg.data").joinpath(filename)
 
 
-def _find_column(header, candidates, what):
-    lowered = [h.strip().lower().replace(" ", "_").replace(".", "_") for h in header]
-    for cand in candidates:
-        if cand in lowered:
-            return lowered.index(cand)
-    raise CsvFormatError(f"could not locate a {what} column among {header}")
-
-
 def load_benchmark(name: str, path=None) -> LabeledDataset:
     """Load one of the benchmark datasets: ``ceo``, ``temperature``, or ``iris``.
 
@@ -181,7 +199,7 @@ def load_benchmark(name: str, path=None) -> LabeledDataset:
     A row count differing from the documented size triggers a warning only.
     """
     name = name.lower()
-    if name not in BENCHMARK_SIZES:
+    if name not in _BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}")
     if path is None:
         if name == "ceo":
@@ -189,49 +207,22 @@ def load_benchmark(name: str, path=None) -> LabeledDataset:
                 "no bundled copy of the CEO data (source link unstable); pass a local path"
             )
         path = bundled_path(f"{name}.csv")
-    rows = _read_rows(path)
-    header = [c.strip() for c in rows[0][1]]
-    body = rows[1:]
-    labels = None
-    label_names = ()
-    if name == "ceo":
-        y_col = _find_column(header, ("salary", "sal", "ceo_salary", "y"), "salary")
-        x_col = _find_column(header, ("age", "ceo_age", "x"), "age")
-        y_name, x_names = "salary", ["age"]
-        x_cols = [x_col]
-    elif name == "temperature":
-        y_col = _find_column(
-            header, ("temperature", "jan_temp", "jantemp", "temp", "y"), "temperature"
-        )
-        lat = _find_column(header, ("latitude", "lat"), "latitude")
-        lon = _find_column(header, ("longitude", "long", "lon"), "longitude")
-        y_name, x_names = "temperature", ["latitude", "longitude"]
-        x_cols = [lat, lon]
-    else:
-        y_col = _find_column(header, ("petal_width", "petalwidth"), "petal width")
-        x_col = _find_column(header, ("sepal_width", "sepalwidth"), "sepal width")
-        species_col = _find_column(header, ("species", "class"), "species")
-        y_name, x_names = "petal_width", ["sepal_width"]
-        x_cols = [x_col]
-        raw = [row[species_col].strip() for _, row in body]
-        label_names = tuple(dict.fromkeys(raw))
-        labels = np.array([label_names.index(s) for s in raw])
-    n = len(body)
-    expected = BENCHMARK_SIZES[name]
-    if n != expected:
+    expected, y_aliases, x_aliases, label_aliases = _BENCHMARKS[name]
+    header, rows = _read_table(path)
+    specs = (y_aliases, *x_aliases)
+    cols = [_column(a, header, len(header), a[0]) for a in specs]
+    if label_aliases is not None:
+        label_col = _column(label_aliases, header, len(header), label_aliases[0])
+    if len(rows) != expected:
         warnings.warn(
-            f"{name} file has {n} rows, documented size is {expected}",
+            f"{name} file has {len(rows)} rows, documented size is {expected}",
             UserWarning,
             stacklevel=2,
         )
-    y = np.empty(n)
-    X = np.empty((n, len(x_cols)))
-    for r, (line_no, row) in enumerate(body):
-        y[r] = _parse_cell(row[y_col].strip(), line_no, y_name)
-        for j, c in enumerate(x_cols):
-            X[r, j] = _parse_cell(row[c].strip(), line_no, x_names[j])
-    design = np.column_stack([np.ones(n), X])
-    data = Dataset(y, design, ("intercept", *x_names))
+    data = _to_dataset(rows, cols, [a[0] for a in specs], add_intercept=True)
+    if label_aliases is None:
+        return LabeledDataset(data)
+    label_names, labels = _codes([row[label_col].strip() for _, row in rows])
     return LabeledDataset(data, true_labels=labels, label_names=label_names)
 
 

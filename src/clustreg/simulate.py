@@ -10,7 +10,7 @@ estimator) the selected c.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class ScenarioSpec:
     coef_high: float = 1.5
     variance_shape: float = 3.0
     variance_scale: float = 1.0
-    seed: int = 0
     name: str = ""
 
     def __post_init__(self):
@@ -133,12 +132,7 @@ def draw_scenario(spec: ScenarioSpec, rng: np.random.Generator):
 
 def _fit_estimator(variant, data, G, config, rep_seed):
     if variant is Variant.CONC:
-        cv = CvConfig(
-            n_repeats=config.cv.n_repeats,
-            test_fraction=config.cv.test_fraction,
-            c_grid=config.cv.c_grid,
-            seed=rep_seed,
-        )
+        cv = replace(config.cv, seed=rep_seed)
         fit, report = fit_conc(data, G, cv, config.em, config.n_starts)
         return fit, report.selected_c
     spec = (

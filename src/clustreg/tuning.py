@@ -40,7 +40,6 @@ __all__ = [
     "CvConfig",
     "CvRow",
     "CvReport",
-    "CvScore",
     "default_c_grid",
     "make_split",
     "cv_loglik",
@@ -95,19 +94,11 @@ class CvRow(NamedTuple):
     n_fallback: int
 
 
-class CvScore(NamedTuple):
-    total: float
-    n_fallback: int
-
-    def __float__(self):
-        return self.total
-
-
 @dataclass(frozen=True)
 class CvReport:
     rows: tuple[CvRow, ...]
     selected_c: float
-    warm_start_params: dict          # c -> ModelParams of the full-sample fit
+    warm_start: ModelParams          # the full-sample temporary estimate
     target_variance: float
 
     def __post_init__(self):
@@ -189,14 +180,14 @@ def cv_loglik(
     target: float,
     cv: CvConfig,
     em: EmConfig,
-) -> CvScore:
+) -> CvRow:
     """Sum of K test-set log-likelihoods of models trained from ``warm_start``.
 
     A training fit that fails hard contributes the warm-start model's test
     log-likelihood instead and is counted in ``n_fallback``.
     """
     ((total, n_fallback),) = _cv_grid(data, G, [c], warm_start, target, cv, em)
-    return CvScore(total, n_fallback)
+    return CvRow(c, total, n_fallback)
 
 
 def _estimate_target(data: Dataset, G: int, seed, em: EmConfig, n_starts: int) -> float:
@@ -230,7 +221,6 @@ def select_c(data: Dataset, G: int, cv: CvConfig, em: EmConfig, n_starts: int) -
     feasible = [c for c in cv.c_grid if not warm_ratio < c * (1.0 - 1e-9)]
     scores = dict(zip(feasible, _cv_grid(data, G, feasible, warm.params, target, cv, em)))
     rows = [CvRow(c, *scores[c]) if c in scores else CvRow(c, -math.inf, 0) for c in cv.c_grid]
-    warm_params = {c: warm.params for c in cv.c_grid}
     best = -np.inf
     selected = rows[0].c
     for row in rows:
@@ -240,7 +230,7 @@ def select_c(data: Dataset, G: int, cv: CvConfig, em: EmConfig, n_starts: int) -
     return CvReport(
         rows=tuple(rows),
         selected_c=selected,
-        warm_start_params=warm_params,
+        warm_start=warm.params,
         target_variance=target,
     )
 

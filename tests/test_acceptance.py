@@ -34,6 +34,7 @@ from clustreg import (
     run_em,
     run_study,
 )
+from clustreg.cli import load_presets
 from clustreg.io import load_benchmark
 
 
@@ -298,9 +299,10 @@ def test_criterion_7_iris_benchmark():
     data, truth = bench.data, bench.true_labels
     em = EmConfig()
     seed = 77
-    hom = multi_start_fit(data, 3, ConstraintSpec.homoscedastic(), em, 500, seed=seed)
-    het = multi_start_fit(data, 3, ConstraintSpec.heteroscedastic(), em, 500, seed=seed)
-    conc, _ = fit_conc(data, 3, CvConfig(seed=seed), em, 500)
+    starts = int(load_presets()["iris.starts"])
+    hom = multi_start_fit(data, 3, ConstraintSpec.homoscedastic(), em, starts, seed=seed)
+    het = multi_start_fit(data, 3, ConstraintSpec.heteroscedastic(), em, starts, seed=seed)
+    conc, _ = fit_conc(data, 3, CvConfig(seed=seed), em, starts)
     ari = {
         "conc": adjusted_rand(truth, classify(conc.responsibilities)),
         "hetn": adjusted_rand(truth, classify(het.responsibilities)),
@@ -308,7 +310,7 @@ def test_criterion_7_iris_benchmark():
     }
     ok = ari["conc"] >= 0.75 and ari["conc"] > ari["hetn"] and ari["conc"] > ari["homn"]
     _report(
-        7, "iris benchmark (G=3, 500 starts)",
+        7, f"iris benchmark (G=3, {starts} starts)",
         ok,
         f"adj_rand conc/hetn/homn = {ari['conc']:.4f}/{ari['hetn']:.4f}/{ari['homn']:.4f}",
     )

@@ -8,10 +8,11 @@ from clustreg.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_USAGE,
+    _read_labels,
     load_presets,
     main,
 )
-from clustreg.io import CsvSchema, write_csv
+from clustreg.io import CsvFormatError, CsvSchema, write_csv
 from clustreg.tuning import _estimate_target
 from conftest import make_two_line_data
 
@@ -75,6 +76,19 @@ class TestUsageErrors:
         ])
         assert code == EXIT_USAGE
         assert "line 3" in capsys.readouterr().err
+
+    def test_short_benchmark_row_reports_line(self, tmp_path, capsys):
+        p = tmp_path / "short.csv"
+        p.write_text("temperature,latitude,longitude\n30,40,80\n31,41\n")
+        code = run([
+            "fit", "--benchmark", "temperature", "--input-path", str(p),
+            "--components", "1", "--variant", "hetn",
+            "--output", str(tmp_path / "o.json"),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert "line 3" in err
 
 
 class TestFit:
@@ -268,6 +282,28 @@ class TestEvaluate:
         assert code == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["adj_rand"] == 1.0
+
+    def test_short_labels_row_reports_line(self, stored_fit, tmp_path, capsys):
+        labels_file = tmp_path / "labels.csv"
+        labels_file.write_text("cluster,weight\n0,1\n1\n")
+        code = run(["evaluate", "--fit", str(stored_fit),
+                    "--labels", f"{labels_file}:cluster"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert "line 3" in err
+
+    def test_unknown_label_column_named(self, stored_fit, tmp_path, capsys):
+        labels_file = tmp_path / "labels.csv"
+        labels_file.write_text("cluster\n0\n1\n")
+        code = run(["evaluate", "--fit", str(stored_fit),
+                    "--labels", f"{labels_file}:zz"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert "label column 'zz' not found" in err
+        with pytest.raises(CsvFormatError, match="'zz'"):
+            _read_labels(f"{labels_file}:zz")
 
     def test_no_metric_requested(self, stored_fit, capsys):
         assert run(["evaluate", "--fit", str(stored_fit)]) == EXIT_USAGE

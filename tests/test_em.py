@@ -16,7 +16,7 @@ from clustreg import (
     SingularComponentError,
     Variant,
     clamp_variances,
-    e_step,
+    component_density,
     homoscedastic_variance,
     initialize,
     log_likelihood,
@@ -48,19 +48,28 @@ def mp_weighted_ols(X, y, z):
 
 
 class TestEStep:
-    def test_delegates_to_posterior(self):
+    def test_posterior_is_bayes_rule(self):
         rng = np.random.default_rng(0)
         data = random_dataset(rng, 10, 2)
         params = random_params(rng, 2, 2)
-        a = e_step(data, params)
-        b = posterior_probs(data, params)
-        assert np.array_equal(a.probs, b.probs)
+        joint = np.array([
+            [
+                params.weights[g] * component_density(
+                    data.responses[i], data.design[i], params.coefficients[g],
+                    params.variances[g],
+                )
+                for g in range(2)
+            ]
+            for i in range(data.n)
+        ])
+        want = joint / joint.sum(axis=1, keepdims=True)
+        assert np.allclose(posterior_probs(data, params).probs, want, rtol=1e-12, atol=0)
 
     def test_single_component_all_ones(self):
         rng = np.random.default_rng(1)
         data = random_dataset(rng, 5, 2)
         params = random_params(rng, 1, 2)
-        assert np.allclose(e_step(data, params).probs, 1.0)
+        assert np.allclose(posterior_probs(data, params).probs, 1.0)
 
 
 class TestMStepWeights:
@@ -488,7 +497,7 @@ class TestKernelEquivalence:
         lls = [log_likelihood(data, params)]
         G = init.n_components
         for _ in range(k):
-            resp = e_step(data, params)
+            resp = posterior_probs(data, params)
             weights = m_step_weights(resp)
             betas = m_step_betas(data, resp)
             if spec.variant is Variant.HOMN:

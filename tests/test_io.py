@@ -156,6 +156,18 @@ class TestBenchmarks:
         with pytest.raises(CsvFormatError, match="empty"):
             load_benchmark("iris", path=p)
 
+    def test_short_row_reports_line(self, tmp_path):
+        p = tmp_path / "temperature.csv"
+        p.write_text("temperature,latitude,longitude\n30,40,80\n31,41\n")
+        with pytest.raises(CsvFormatError, match="line 3: expected 3 fields, found 2"):
+            load_benchmark("temperature", path=p)
+
+    def test_missing_column_named(self, tmp_path):
+        p = tmp_path / "temperature.csv"
+        p.write_text("temperature,latitude\n30,40\n")
+        with pytest.raises(CsvFormatError, match="longitude"):
+            load_benchmark("temperature", path=p)
+
 
 @pytest.fixture(scope="module")
 def small_fit():
@@ -199,7 +211,7 @@ class TestFitSerialization:
         report = CvReport(
             rows=(CvRow(0.1, -12.5, 0), CvRow(1.0, float("-inf"), 0)),
             selected_c=0.1,
-            warm_start_params={},
+            warm_start=None,
             target_variance=1.0,
         )
         p = tmp_path / "fit.json"

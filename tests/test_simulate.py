@@ -66,7 +66,7 @@ class TestDrawInverseGamma:
 class TestDrawScenario:
     def setup_method(self):
         self.spec = ScenarioSpec(
-            n=400, G=3, mixing=(0.2, 0.3, 0.5), intercepts=(0.0, 5.0, 10.0), seed=0
+            n=400, G=3, mixing=(0.2, 0.3, 0.5), intercepts=(0.0, 5.0, 10.0)
         )
 
     def test_shapes_and_names(self):

@@ -117,8 +117,7 @@ class TestCvLoglik:
             train_idx, test_idx = make_split(data.n, cv.test_fraction, rng)
             fit = run_em(data.subset(train_idx), 2, spec, em, warm.params)
             total += log_likelihood(data.subset(test_idx), fit.params)
-        assert score.total == total
-        assert score.n_fallback == 0
+        assert score == (c, total, 0)
 
     def test_splits_shared_across_c(self):
         # the split streams depend only on the CV seed, so two different c
@@ -151,7 +150,7 @@ class TestCvLoglik:
         for c in (1e-3, 0.1, 1.0):
             spec = ConstraintSpec.constrained(c, target)
             warm = run_em(data, 1, spec, em, initialize(data, 1, spec, seed=4))
-            scores.append(cv_loglik(data, 1, c, warm.params, target, cv, em).total)
+            scores.append(cv_loglik(data, 1, c, warm.params, target, cv, em).cv_loglik)
         assert scores[0] == scores[1] == scores[2]
 
 
@@ -164,7 +163,9 @@ class TestSelectC:
         assert report.selected_c in cv.c_grid
         best = max(r.cv_loglik for r in report.rows)
         assert any(r.c == report.selected_c and r.cv_loglik == best for r in report.rows)
-        assert set(report.warm_start_params) == set(cv.c_grid)
+        assert isinstance(report.warm_start, ModelParams)
+        warm_ratio = report.warm_start.variances.min() / report.warm_start.variances.max()
+        assert warm_ratio >= cv.c_grid[0] * (1 - 1e-9)
         assert report.target_variance > 0
 
     def test_rows_match_per_c_cv_loglik(self):
@@ -174,14 +175,14 @@ class TestSelectC:
         cv = CvConfig(n_repeats=4, c_grid=(0.01, 0.05, 0.2, 0.5, 1.0), seed=9)
         em = EmConfig()
         report = select_c(data, 2, cv, em, 3)
-        warm = report.warm_start_params[cv.c_grid[0]]
+        warm = report.warm_start
         finite = 0
         for row in report.rows:
             if row.cv_loglik == -math.inf:
                 continue
             finite += 1
             score = cv_loglik(data, 2, row.c, warm, report.target_variance, cv, em)
-            assert (row.cv_loglik, row.n_fallback) == (score.total, score.n_fallback)
+            assert (row.cv_loglik, row.n_fallback) == (score.cv_loglik, score.n_fallback)
         assert finite >= 2
 
     def test_deterministic(self):
@@ -207,7 +208,7 @@ class TestSelectC:
     def test_report_rejects_non_maximal_selection(self):
         rows = (CvRow(0.1, -5.0, 0), CvRow(1.0, -3.0, 0))
         with pytest.raises(ValueError):
-            CvReport(rows=rows, selected_c=0.1, warm_start_params={}, target_variance=1.0)
+            CvReport(rows=rows, selected_c=0.1, warm_start=None, target_variance=1.0)
 
     def test_infeasible_candidates_score_minus_inf(self):
         # strongly heteroscedastic groups: the temporary estimate's variance
@@ -232,7 +233,7 @@ class TestSelectC:
         # prefix property: once a candidate is ineligible, all larger ones are
         assert finite == sorted(finite, reverse=True)
         assert finite[0]  # the candidate the warm start was fitted at
-        warm = report.warm_start_params[cv.c_grid[0]]
+        warm = report.warm_start
         ratio = float(warm.variances.min() / warm.variances.max())
         for r, is_finite in zip(report.rows, finite):
             assert is_finite == (ratio >= r.c * (1 - 1e-9))
@@ -273,7 +274,7 @@ class TestFitConc:
 
 def oracle_rows(data, G, report, cv, em_config):
     """Reference CV rows: a one-member run_em per (c, split), scored by log_likelihood."""
-    warm = report.warm_start_params[cv.c_grid[0]]
+    warm = report.warm_start
     ratio = float(warm.variances.min() / warm.variances.max())
     streams = np.random.SeedSequence(cv.seed).spawn(cv.resolve_repeats(data.n))
     splits = [make_split(data.n, cv.test_fraction, np.random.default_rng(s)) for s in streams]
@@ -326,7 +327,7 @@ class TestMergedGrid:
         warm = ModelParams(np.array([1.0, 0.0]), np.zeros((2, 3)), np.full(2, 1e-300))
         with np.errstate(over="ignore"), pytest.warns(RuntimeWarning, match="^mixture density"):
             score = cv_loglik(data, 2, 0.5, warm, 1.0, CvConfig(n_repeats=2, seed=0), EmConfig())
-        assert score == (-math.inf, 2)
+        assert score == (0.5, -math.inf, 2)
 
 
 class TestInvariantFailure:
