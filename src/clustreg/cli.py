@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .model import Dataset, ModelParams
+from .model import Dataset
 from .em import (
     ConstraintSpec,
     EmConfig,
@@ -45,10 +45,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-def _warn(msg):
-    print(f"warn: {msg}", file=sys.stderr)
 
 
 def _err(msg):
@@ -160,11 +156,15 @@ def _em_config(args) -> EmConfig:
     return EmConfig(max_iterations=args.max_iter, tolerance=args.tol)
 
 
-def _emit_fit(args, data, fit, spec, cv_report=None):
+def _emit_fit(args, data, fit, spec, cv_report=None) -> int:
     if args.emit == "plot-data":
         io.write_plot_data(data, fit, args.output)
     else:
         io.write_fit(fit, spec, args.output, cv=cv_report)
+    if fit.degenerate:
+        print("warn: best fit is degenerate (a component variance collapsed)", file=sys.stderr)
+        return EXIT_DEGENERATE
+    return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
@@ -174,48 +174,29 @@ def _cmd_fit(args) -> int:
         raise UsageError("--target is only valid with --variant conc")
     data = _load_data(args)
     em = _em_config(args)
+    target = args.target
     if args.variant == "conc":
         if args.c is None:
             raise UsageError("--variant conc requires --c (or use the tune subcommand)")
-        target = args.target
         if target is None:
             target = _estimate_target(data, args.components, args.seed, em, args.starts)
-        spec = ConstraintSpec.constrained(args.c, target)
-    elif args.variant == "hetn":
-        spec = ConstraintSpec.heteroscedastic()
-    else:
-        spec = ConstraintSpec.homoscedastic()
+    spec = ConstraintSpec(args.variant, args.c, target)
     fit = multi_start_fit(
         data, args.components, spec, em, args.starts,
         seed=np.random.SeedSequence(entropy=args.seed, spawn_key=(2,)),
     )
-    _emit_fit(args, data, fit, spec)
-    if fit.degenerate:
-        _warn("best fit is degenerate (a component variance collapsed)")
-        return EXIT_DEGENERATE
-    return EXIT_OK
+    return _emit_fit(args, data, fit, spec)
 
 
 def _cmd_tune(args) -> int:
     data = _load_data(args)
     em = _em_config(args)
-    grid_kwargs = {}
+    cv = CvConfig(n_repeats=args.cv_repeats, test_fraction=args.test_fraction, seed=args.seed)
     if args.c_grid:
-        grid = tuple(float(c) for c in args.c_grid.split(","))
-        grid_kwargs["c_grid"] = grid
-    cv = CvConfig(
-        n_repeats=args.cv_repeats,
-        test_fraction=args.test_fraction,
-        seed=args.seed,
-        **grid_kwargs,
-    )
+        cv = dataclasses.replace(cv, c_grid=tuple(float(c) for c in args.c_grid.split(",")))
     fit, report = fit_conc(data, args.components, cv, em, args.starts)
     spec = ConstraintSpec.constrained(report.selected_c, report.target_variance)
-    _emit_fit(args, data, fit, spec, cv_report=report)
-    if fit.degenerate:
-        _warn("best fit is degenerate (a component variance collapsed)")
-        return EXIT_DEGENERATE
-    return EXIT_OK
+    return _emit_fit(args, data, fit, spec, cv_report=report)
 
 
 def _from_dict(cls, d: dict, fields=None, **values):
@@ -231,17 +212,47 @@ def _from_dict(cls, d: dict, fields=None, **values):
         raise UsageError(f"{cls.__name__}: {exc}") from None
 
 
-def _cmd_simulate(args) -> int:
-    with open(args.scenario_file) as fh:
-        doc = json.load(fh)
+def _typed(value, kind, what: str):
+    """``value``, which a JSON document holds at ``what``, checked to be a ``kind``."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise TypeError(f"{what} must be {name}, found {type(value).__name__}")
+    return value
+
+
+def _read_json(path, build):
+    """``build(doc)`` for the JSON object in file ``path``.
+
+    Text that is not JSON, a top level that is not an object, a missing field,
+    or a field ``build`` finds of the wrong type is a ValueError naming the
+    file (and the field).
+    """
+    try:
+        with open(path) as fh:
+            return build(_typed(json.load(fh), dict, "the top level"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _study_config(doc) -> StudyConfig:
     # replication seeds, the CV splits' included, derive from the study seed
-    config = _from_dict(
+    scenarios = _typed(doc["scenarios"], list, "field 'scenarios'")
+    return _from_dict(
         StudyConfig, doc,
-        scenarios=tuple(_from_dict(ScenarioSpec, d) for d in doc["scenarios"]),
-        cv=_from_dict(CvConfig, doc.get("cv", {}), ("n_repeats", "test_fraction", "c_grid")),
+        scenarios=tuple(_from_dict(ScenarioSpec, _typed(d, dict, f"scenarios[{i}]"))
+                        for i, d in enumerate(scenarios)),
+        cv=_from_dict(CvConfig, _typed(doc.get("cv", {}), dict, "field 'cv'"),
+                      ("n_repeats", "test_fraction", "c_grid")),
         em=_from_dict(EmConfig, doc, ("max_iterations", "tolerance")),
     )
-    rows = run_study(config)
+
+
+def _cmd_simulate(args) -> int:
+    rows = run_study(_read_json(args.scenario_file, _study_config))
     if args.emit == "json":
         io._atomic_write_text(args.output, json.dumps(rows, indent=2) + "\n")
     else:
@@ -257,8 +268,7 @@ def _read_labels(spec: str) -> np.ndarray:
 
 
 def _cmd_evaluate(args) -> int:
-    doc = io.read_fit(args.fit)
-    fit = io.fit_from_document(doc)
+    variant, fit = _read_json(args.fit, lambda d: (d.get("variant"), io.fit_from_document(d)))
     out = {}
     if args.benchmark:
         labeled = io.load_benchmark(args.benchmark)
@@ -267,22 +277,14 @@ def _cmd_evaluate(args) -> int:
     elif args.labels:
         out["adj_rand"] = adjusted_rand(_read_labels(args.labels), fit.labels)
     if args.truth:
-        with open(args.truth) as fh:
-            tdoc = json.load(fh)
-        truth = ModelParams(
-            np.array(tdoc["weights"]),
-            np.array(tdoc["coefficients"]),
-            np.array(tdoc["variances"]),
-        )
-        mse = param_mse(truth, fit.params)
+        mse = param_mse(_read_json(args.truth, io._params_from_document), fit.params)
         out["mse_beta"] = mse.avg_mse_beta
         out["mse_sigma"] = mse.avg_mse_sigma
     if not out:
         raise UsageError("evaluate needs --labels, --benchmark, or --truth")
-    variant = doc.get("variant")
     if variant in ("hetn", "homn"):
-        out["bic"] = bic(fit, len(doc["labels"]), variant, doc["G"],
-                         len(doc["coefficients"][0]))
+        out["bic"] = bic(fit, fit.labels.size, variant, fit.params.n_components,
+                         fit.params.n_features)
     text = json.dumps(out, indent=2) + "\n"
     if args.output:
         io._atomic_write_text(args.output, text)

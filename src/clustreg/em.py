@@ -53,6 +53,7 @@ from .model import (
     _residuals,
     posterior_probs,
     classify,
+    min_variance_ratio,
 )
 
 __all__ = [
@@ -319,12 +320,6 @@ def clamp_variances(raw: np.ndarray, spec: ConstraintSpec) -> np.ndarray:
     return np.clip(np.asarray(raw, dtype=float), spec.lower, spec.upper)
 
 
-def _seed_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def initialize(data: Dataset, G: int, spec: ConstraintSpec, seed) -> ModelParams:
     """Random near-equal hard partition + per-group OLS starting values.
 
@@ -337,33 +332,26 @@ def initialize(data: Dataset, G: int, spec: ConstraintSpec, seed) -> ModelParams
         raise ValueError("G must be >= 1")
     if n < G * (J + 1):
         raise ValueError(f"need n >= G*(J+1) = {G * (J + 1)}, got {n}")
-    rng = _seed_rng(seed)
+    rng = np.random.default_rng(seed)
     X, y = data.design, data.responses
     for _ in range(_INIT_ATTEMPTS):
         perm = rng.permutation(n)
         groups = np.array_split(perm, G)
         betas = np.empty((G, J))
-        ok = True
         ss = 0.0
         for g, idx in enumerate(groups):
             coef, _, rank, _ = np.linalg.lstsq(X[idx], y[idx], rcond=None)
             if rank < J:
-                ok = False
                 break
             betas[g] = coef
             r = y[idx] - X[idx] @ coef
             ss += float(r @ r)
-        if not ok:
-            continue
-        pooled = ss / n
-        if pooled <= 0.0:
-            pooled = max(1e-12 * float(np.var(y)), np.finfo(float).tiny)
-        if spec.variant is Variant.CONC:
-            variances = np.full(G, spec.target_variance)
         else:
-            variances = np.full(G, pooled)
-        weights = np.full(G, 1.0 / G)
-        return ModelParams(weights, betas, variances)
+            pooled = ss / n
+            if pooled <= 0.0:
+                pooled = max(1e-12 * float(np.var(y)), np.finfo(float).tiny)
+            start = spec.target_variance if spec.variant is Variant.CONC else pooled
+            return ModelParams(np.full(G, 1.0 / G), betas, np.full(G, start))
     raise SingularComponentError(-1, f"no full-rank partition found in {_INIT_ATTEMPTS} attempts")
 
 
@@ -383,16 +371,19 @@ def _update_variances(ss, totals, n, variant, roots):
     return raw
 
 
+def _feasible(params: ModelParams, c: float) -> bool:
+    """Whether ``params`` satisfy the ConC constraint at ``c``, up to a relative 1e-9."""
+    return not min_variance_ratio(params) < c * (1.0 - 1e-9)
+
+
 def _check_init(G: int, variant: Variant, c, init: ModelParams) -> None:
     if init.n_components != G:
         raise ValueError("init has wrong number of components")
-    if variant is Variant.CONC and G > 1:
-        ratio = float(init.variances.min() / init.variances.max())
-        if ratio < c * (1.0 - 1e-9):
-            raise ValueError(
-                "constrained run requires a feasible initial guess "
-                f"(variance ratio {ratio:.3g} < c = {c:g})"
-            )
+    if variant is Variant.CONC and not _feasible(init, c):
+        raise ValueError(
+            "constrained run requires a feasible initial guess "
+            f"(variance ratio {min_variance_ratio(init):.3g} < c = {c:g})"
+        )
 
 
 def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
@@ -599,24 +590,12 @@ def multi_start_fit(
     for res in outcomes:
         if isinstance(res, InvalidParameterError):
             raise res
-    best = None
-    best_degenerate = None
-    errors = []
-    for i, res in enumerate(outcomes):
-        if isinstance(res, Exception):
-            errors.append(res)
-            continue
-        if res.degenerate:
-            if best_degenerate is None or res.loglik > outcomes[best_degenerate].loglik:
-                best_degenerate = i
-        else:
-            if best is None or res.loglik > outcomes[best].loglik:
-                best = i
-    winner = best if best is not None else best_degenerate
-    if winner is None:
+    runs = [i for i, res in enumerate(outcomes) if isinstance(res, _Run)]
+    if not runs:
         raise MultiStartError(
-            f"all {n_starts} starts failed: " + "; ".join(str(e) for e in errors)
+            f"all {n_starts} starts failed: " + "; ".join(str(e) for e in outcomes)
         )
+    winner = min(runs, key=lambda i: (outcomes[i].degenerate, -outcomes[i].loglik, i))
     if not return_all:
         return outcomes[winner].fit(data)
     # in place, so each start's raw arrays are freed as its FitResult is built

@@ -15,6 +15,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from importlib import resources
+from io import StringIO
 
 import numpy as np
 
@@ -172,19 +173,12 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     return _to_dataset(rows, cols, names, schema.add_intercept)
 
 
-def write_csv(data: Dataset, path, delimiter: str = ",") -> None:
+def write_csv(data: Dataset, path) -> None:
     """Write a Dataset (response first, then non-intercept regressors)."""
-    has_intercept = bool(np.all(data.design[:, 0] == 1.0))
-    start = 1 if has_intercept else 0
-    header = ["y"] + list(data.feature_names[start:])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(header)
-        for i in range(data.n):
-            writer.writerow(
-                [repr(float(data.responses[i]))]
-                + [repr(float(v)) for v in data.design[i, start:]]
-            )
+    _, X, names = _non_intercept(data)
+    _write_rows(path, [["y", *names]] + [
+        [repr(y), *map(repr, x)] for y, x in zip(data.responses.tolist(), X.tolist())
+    ])
 
 
 def bundled_path(filename: str):
@@ -240,6 +234,20 @@ def _atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _write_rows(path, rows) -> None:
+    """Write rows of fields as CSV lines that end in a bare newline, atomically."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _atomic_write_text(path, buf.getvalue())
+
+
+def _non_intercept(data: Dataset):
+    """(whether design column 0 is an all-ones intercept, the other columns, their names)."""
+    has_intercept = bool(np.all(data.design[:, 0] == 1.0))
+    start = int(has_intercept)
+    return has_intercept, data.design[:, start:], list(data.feature_names[start:])
+
+
 def fit_document(fit: FitResult, spec: ConstraintSpec, cv: CvReport = None) -> dict:
     """JSON-ready dict for a fit; floats keep full (repr) precision via json."""
     doc = {
@@ -290,13 +298,18 @@ def read_fit(path) -> dict:
         raise OSError(f"cannot read fit from {path}: {exc}") from exc
 
 
-def fit_from_document(doc: dict) -> FitResult:
-    """Rebuild a FitResult from a fit document."""
-    params = ModelParams(
+def _params_from_document(doc: dict) -> ModelParams:
+    """The ModelParams held by a fit or truth document."""
+    return ModelParams(
         np.array(doc["weights"]),
         np.array(doc["coefficients"]),
         np.array(doc["variances"]),
     )
+
+
+def fit_from_document(doc: dict) -> FitResult:
+    """Rebuild a FitResult from a fit document."""
+    params = _params_from_document(doc)
     resp = Responsibilities(np.array(doc["responsibilities"]))
     return FitResult(
         params=params,
@@ -312,34 +325,24 @@ def fit_from_document(doc: dict) -> FitResult:
 
 def write_study_csv(rows, path) -> None:
     """Aggregate study report, one row per (scenario, estimator) cell."""
-    lines = [",".join(STUDY_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                str(row[col]) if col in ("scenario", "estimator") else repr(float(row[col]))
-                for col in STUDY_COLUMNS
-            )
-        )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, [STUDY_COLUMNS] + [
+        [row[col] if col in ("scenario", "estimator") else repr(float(row[col]))
+         for col in STUDY_COLUMNS]
+        for row in rows
+    ])
 
 
 def write_plot_data(data: Dataset, fit: FitResult, path) -> None:
     """Per-observation scatter data plus the assigned component's line parameters."""
-    has_intercept = bool(np.all(data.design[:, 0] == 1.0))
-    start = 1 if has_intercept else 0
-    x_names = list(data.feature_names[start:])
+    has_intercept, X, x_names = _non_intercept(data)
     header = (
         x_names
         + ["y", "label"]
         + ["line_intercept" if has_intercept else "line_coef0"]
         + [f"line_coef_{name}" for name in x_names]
     )
-    lines = [",".join(header)]
-    B = fit.params.coefficients
-    for i in range(data.n):
-        g = int(fit.labels[i])
-        fields = [repr(float(v)) for v in data.design[i, start:]]
-        fields += [repr(float(data.responses[i])), str(g)]
-        fields += [repr(float(b)) for b in B[g]]
-        lines.append(",".join(fields))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    B = fit.params.coefficients.tolist()
+    _write_rows(path, [header] + [
+        [*map(repr, x), repr(y), str(g), *map(repr, B[g])]
+        for x, y, g in zip(X.tolist(), data.responses.tolist(), fit.labels.tolist())
+    ])

@@ -66,17 +66,13 @@ def param_mse(truth: ModelParams, estimate: ModelParams) -> MseReport:
     if truth.n_features != estimate.n_features:
         raise ValueError("coefficient dimensions differ")
     G, J = truth.n_components, truth.n_features
-    best_perm = None
-    best_sse = np.inf
-    for perm in permutations(range(G)):
-        sse = float(np.sum((truth.coefficients - estimate.coefficients[list(perm)]) ** 2))
-        if sse < best_sse:
-            best_sse = sse
-            best_perm = perm
-    perm = list(best_perm)
-    mse_beta = best_sse / (G * J)
-    mse_sigma = float(np.mean((truth.variances - estimate.variances[perm]) ** 2))
-    return MseReport(mse_beta, mse_sigma, tuple(best_perm))
+    sse = {
+        perm: float(np.sum((truth.coefficients - estimate.coefficients[list(perm)]) ** 2))
+        for perm in permutations(range(G))
+    }
+    perm = min(sse, key=sse.get)
+    mse_sigma = float(np.mean((truth.variances - estimate.variances[list(perm)]) ** 2))
+    return MseReport(sse[perm] / (G * J), mse_sigma, perm)
 
 
 def bic(fit: FitResult, n: int, variant, G: int, J: int) -> float:

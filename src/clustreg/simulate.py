@@ -109,13 +109,11 @@ def draw_inverse_gamma(rng: np.random.Generator, shape: float, scale: float, siz
 def draw_scenario(spec: ScenarioSpec, rng: np.random.Generator):
     """Generate (data, true params, true labels) for one replication."""
     G, n, p = spec.G, spec.n, spec.n_regressors
-    labels = None
     for _ in range(_REDRAW_ATTEMPTS):
-        cand = rng.choice(G, size=n, p=spec.mixing)
-        if np.bincount(cand, minlength=G).min() > 0:
-            labels = cand
+        labels = rng.choice(G, size=n, p=spec.mixing)
+        if np.bincount(labels, minlength=G).min() > 0:
             break
-    if labels is None:
+    else:
         raise RuntimeError("a mixture component drew zero members in every attempt")
     X = np.column_stack([np.ones(n), rng.standard_normal((n, p))])
     betas = np.column_stack(
@@ -135,11 +133,7 @@ def _fit_estimator(variant, data, G, config, rep_seed):
         cv = replace(config.cv, seed=rep_seed)
         fit, report = fit_conc(data, G, cv, config.em, config.n_starts)
         return fit, report.selected_c
-    spec = (
-        ConstraintSpec.heteroscedastic()
-        if variant is Variant.HETN
-        else ConstraintSpec.homoscedastic()
-    )
+    spec = ConstraintSpec(variant)
     fit = multi_start_fit(data, G, spec, config.em, config.n_starts, seed=rep_seed)
     return fit, None
 
@@ -148,17 +142,15 @@ def run_study(config: StudyConfig, keep_replications: bool = False):
     """Run the full scenario x replication x estimator grid.
 
     Returns one aggregate row (dict with STUDY_COLUMNS keys plus ``n_failed``)
-    per (scenario, estimator).  Individual replication failures are counted,
-    never fatal.  With ``keep_replications`` the per-replication records are
-    returned as a second value.
+    per (scenario, estimator), built from one record per successful fit.
+    Individual replication failures are counted, never fatal.  With
+    ``keep_replications`` the records, in (replication, estimator) order
+    within each scenario, are returned as a second value.
     """
     rows = []
     records = []
     for s_idx, scenario in enumerate(config.scenarios):
-        cells = {
-            v: {"mse_beta": [], "mse_sigma": [], "adj_rand": [], "time_s": [], "c": [], "failed": 0}
-            for v in config.estimators
-        }
+        cell = []
         for rep in range(config.replications):
             ss = np.random.SeedSequence(
                 entropy=config.seed, spawn_key=(s_idx, rep)
@@ -167,55 +159,39 @@ def run_study(config: StudyConfig, keep_replications: bool = False):
             data, truth, true_labels = draw_scenario(scenario, data_rng)
             rep_seed = int(ss.generate_state(1)[0])
             for variant in config.estimators:
-                cell = cells[variant]
                 t0 = time.perf_counter()
                 try:
                     fit, selected_c = _fit_estimator(
                         variant, data, scenario.G, config, rep_seed
                     )
                 except (SingularComponentError, EmptyComponentError, MultiStartError):
-                    cell["failed"] += 1
                     continue
                 elapsed = time.perf_counter() - t0
                 mse = param_mse(truth, fit.params)
-                ari = adjusted_rand(true_labels, classify(fit.responsibilities))
-                cell["mse_beta"].append(mse.avg_mse_beta)
-                cell["mse_sigma"].append(mse.avg_mse_sigma)
-                cell["adj_rand"].append(ari)
-                cell["time_s"].append(elapsed)
-                if selected_c is not None:
-                    cell["c"].append(selected_c)
-                if keep_replications:
-                    records.append(
-                        {
-                            "scenario": scenario.name,
-                            "replication": rep,
-                            "estimator": variant.value,
-                            "mse_beta": mse.avg_mse_beta,
-                            "mse_sigma": mse.avg_mse_sigma,
-                            "adj_rand": ari,
-                            "time_s": elapsed,
-                            "c": selected_c,
-                            "degenerate": fit.degenerate,
-                        }
-                    )
+                cell.append(
+                    {
+                        "scenario": scenario.name,
+                        "replication": rep,
+                        "estimator": variant.value,
+                        "mse_beta": mse.avg_mse_beta,
+                        "mse_sigma": mse.avg_mse_sigma,
+                        "adj_rand": adjusted_rand(true_labels, classify(fit.responsibilities)),
+                        "time_s": elapsed,
+                        "c": selected_c,
+                        "degenerate": fit.degenerate,
+                    }
+                )
         for variant in config.estimators:
-            cell = cells[variant]
-            def _mean(key):
-                vals = cell[key]
-                return float(np.mean(vals)) if vals else float("nan")
-            rows.append(
-                {
-                    "scenario": scenario.name,
-                    "estimator": variant.value,
-                    "mse_beta": _mean("mse_beta"),
-                    "mse_sigma": _mean("mse_sigma"),
-                    "adj_rand": _mean("adj_rand"),
-                    "time_s": _mean("time_s"),
-                    "mean_c": _mean("c"),
-                    "n_failed": cell["failed"],
-                }
-            )
+            fits = [r for r in cell if r["estimator"] == variant.value]
+            row = {"scenario": scenario.name, "estimator": variant.value}
+            for col in STUDY_COLUMNS[2:]:
+                # mean_c averages the records' c, which only ConC sets
+                vals = [r[col.removeprefix("mean_")] for r in fits]
+                vals = [v for v in vals if v is not None]
+                row[col] = float(np.mean(vals)) if vals else float("nan")
+            row["n_failed"] = config.replications - len(fits)
+            rows.append(row)
+        records += cell
     if keep_replications:
         return rows, records
     return rows

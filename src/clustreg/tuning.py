@@ -33,6 +33,7 @@ from .em import (
     SingularComponentError,
     Variant,
     _em_lanes,
+    _feasible,
     multi_start_fit,
 )
 
@@ -48,9 +49,9 @@ __all__ = [
 ]
 
 
-def default_c_grid(n_points: int = 20, low: float = 1e-3) -> tuple[float, ...]:
-    """Log-spaced candidate grid for c, upper endpoint exactly 1."""
-    grid = np.geomspace(low, 1.0, n_points)
+def default_c_grid() -> tuple[float, ...]:
+    """20 log-spaced candidates for c from 1e-3, upper endpoint exactly 1."""
+    grid = np.geomspace(1e-3, 1.0, 20)
     grid[-1] = 1.0
     return tuple(float(c) for c in grid)
 
@@ -122,14 +123,6 @@ def make_split(n: int, test_fraction: float, rng: np.random.Generator):
     return train, test
 
 
-def _split_rngs(cv: CvConfig, n: int):
-    # One child stream per repeat, derived from the CV seed only: every
-    # candidate c sees the identical split sequence.
-    base = np.random.SeedSequence(cv.seed)
-    K = cv.resolve_repeats(n)
-    return [np.random.default_rng(s) for s in base.spawn(K)]
-
-
 def _cv_grid(data, G, cs, warm_start, target, cv, em) -> list[tuple[float, int]]:
     """(sum of test log-likelihoods, fallbacks) for every c in ``cs``.
 
@@ -147,7 +140,10 @@ def _cv_grid(data, G, cs, warm_start, target, cv, em) -> list[tuple[float, int]]
         ConstraintSpec.constrained(c, target)     # validates c and the target
     if not cs:
         return []
-    splits = [make_split(data.n, cv.test_fraction, rng) for rng in _split_rngs(cv, data.n)]
+    # One child stream per repeat, derived from the CV seed only: every
+    # candidate c sees the identical split sequence.
+    seeds = np.random.SeedSequence(cv.seed).spawn(cv.resolve_repeats(data.n))
+    splits = [make_split(data.n, cv.test_fraction, np.random.default_rng(s)) for s in seeds]
     K = len(splits)
     trains = [data.subset(train) for train, _ in splits]
     members = [(k, warm_start, c) for c in cs for k in range(K)]
@@ -216,20 +212,12 @@ def select_c(data: Dataset, G: int, cv: CvConfig, em: EmConfig, n_starts: int) -
         data, G, ConstraintSpec.constrained(cv.c_grid[0], target), em, n_starts,
         seed=np.random.SeedSequence(entropy=cv.seed, spawn_key=(1,)),
     )
-    variances = warm.params.variances
-    warm_ratio = float(variances.min() / variances.max())
-    feasible = [c for c in cv.c_grid if not warm_ratio < c * (1.0 - 1e-9)]
+    feasible = [c for c in cv.c_grid if _feasible(warm.params, c)]
     scores = dict(zip(feasible, _cv_grid(data, G, feasible, warm.params, target, cv, em)))
     rows = [CvRow(c, *scores[c]) if c in scores else CvRow(c, -math.inf, 0) for c in cv.c_grid]
-    best = -np.inf
-    selected = rows[0].c
-    for row in rows:
-        if row.cv_loglik >= best:
-            best = row.cv_loglik
-            selected = row.c
     return CvReport(
         rows=tuple(rows),
-        selected_c=selected,
+        selected_c=max(rows, key=lambda row: (row.cv_loglik, row.c)).c,
         warm_start=warm.params,
         target_variance=target,
     )

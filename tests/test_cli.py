@@ -248,6 +248,33 @@ class TestSimulate:
                     "--output", str(tmp_path / "o.csv")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"scenarios": 5}, "field 'scenarios'"),
+        ({"scenarios": [5]}, "scenarios[0]"),
+        ({"scenarios": [{"n": 60, "G": 2, "mixing": [0.5, 0.5], "intercepts": [0, 5]}],
+          "cv": 3}, "field 'cv'"),
+        ([1, 2], "top level"),
+        ({}, "field 'scenarios'"),
+    ], ids=["scenarios-int", "scenario-int", "cv-int", "top-level-list", "empty"])
+    def test_malformed_scenario_file_named(self, tmp_path, capsys, doc, field):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code = run(["simulate", "--scenario-file", str(p),
+                    "--output", str(tmp_path / "o.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert str(p) in err and field in err
+
+    def test_invalid_json_names_file(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text('{"scenarios": [')
+        code = run(["simulate", "--scenario-file", str(p),
+                    "--output", str(tmp_path / "o.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: not valid JSON:") and "\n" not in err.strip()
+
 
 class TestEvaluate:
     @pytest.fixture()
@@ -304,6 +331,27 @@ class TestEvaluate:
         assert "label column 'zz' not found" in err
         with pytest.raises(CsvFormatError, match="'zz'"):
             _read_labels(f"{labels_file}:zz")
+
+    @pytest.mark.parametrize("doc, field", [
+        ([], "top level"),
+        ({}, "field 'weights'"),
+    ], ids=["top-level-list", "empty"])
+    def test_malformed_fit_file_named(self, tmp_path, capsys, doc, field):
+        p = tmp_path / "fit.json"
+        p.write_text(json.dumps(doc))
+        assert run(["evaluate", "--fit", str(p), "--benchmark", "iris"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert str(p) in err and field in err
+
+    def test_truth_without_coefficients_named(self, stored_fit, tmp_path, capsys):
+        truth_file = tmp_path / "truth.json"
+        truth_file.write_text(json.dumps({"weights": [0.5, 0.5], "variances": [0.09, 0.25]}))
+        code = run(["evaluate", "--fit", str(stored_fit), "--truth", str(truth_file)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert str(truth_file) in err and "field 'coefficients'" in err
 
     def test_no_metric_requested(self, stored_fit, capsys):
         assert run(["evaluate", "--fit", str(stored_fit)]) == EXIT_USAGE

@@ -28,6 +28,7 @@ from clustreg import (
     posterior_probs,
     run_em,
 )
+from clustreg import em
 from conftest import make_two_line_data, random_dataset, random_params
 
 
@@ -462,6 +463,42 @@ class TestMultiStart:
         for res in outcomes:
             if not isinstance(res, Exception) and not res.degenerate:
                 assert best.loglik >= res.loglik
+
+    @staticmethod
+    def _pool(monkeypatch, outcomes):
+        """The winner and outcomes of a pool whose kernel returns ``outcomes``.
+
+        Each outcome is an exception or a (loglik, degenerate) pair.
+        """
+        def run(loglik, degenerate):
+            return em._Run(np.full(2, 0.5), np.zeros((2, 2)), np.ones(2), loglik, [loglik],
+                           not degenerate, degenerate, 1, ())
+
+        pool = [o if isinstance(o, Exception) else run(*o) for o in outcomes]
+        monkeypatch.setattr(em, "_em_lanes", lambda *args: list(pool))
+        data, _, _ = make_two_line_data(seed=22, n=60)
+        return multi_start_fit(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(),
+                               len(pool), seed=0, return_all=True)
+
+    def test_best_non_degenerate_beats_higher_degenerate(self, monkeypatch):
+        best, outcomes = self._pool(monkeypatch, [
+            SingularComponentError(0), (50.0, True), (-9.0, False), (-4.0, False),
+            (-4.0, False), (-6.0, True),
+        ])
+        assert best is outcomes[3]
+
+    def test_all_degenerate_returns_best_degenerate(self, monkeypatch):
+        best, outcomes = self._pool(monkeypatch, [(-3.0, True), (-1.0, True), (-1.0, True)])
+        assert best is outcomes[1]
+
+    def test_equal_logliks_return_first_start(self):
+        # with G = 1 every start reaches the same fit after its first M-step
+        data, _, _ = make_two_line_data(seed=25, n=60)
+        best, outcomes = multi_start_fit(
+            data, 1, ConstraintSpec.heteroscedastic(), EmConfig(), 4, seed=13, return_all=True,
+        )
+        assert len({res.loglik for res in outcomes}) == 1
+        assert best is outcomes[0]
 
     @pytest.mark.parametrize(
         "spec", [ConstraintSpec.heteroscedastic(), ConstraintSpec.homoscedastic()],

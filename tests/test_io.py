@@ -8,6 +8,7 @@ from clustreg import ConstraintSpec, Dataset, EmConfig, multi_start_fit
 from clustreg.io import (
     BENCHMARK_SIZES,
     CsvFormatError,
+    _read_table,
     CsvSchema,
     bundled_path,
     fit_from_document,
@@ -92,6 +93,18 @@ class TestRoundTrip:
         back = load_csv(p, CsvSchema(response_column="y", regressor_columns=("x",)))
         assert np.array_equal(back.responses, data.responses)
         assert np.array_equal(back.design, data.design)
+
+
+    def test_write_csv_is_atomic_with_newline_line_ends(self, tmp_path):
+        data = Dataset(np.array([1.5, -2.25]), np.column_stack([np.ones(2), [0.1, 1 / 3]]),
+                       ("intercept", "x"))
+        p = tmp_path / "data.csv"
+        write_csv(data, p)
+        assert p.read_bytes() == b"y,x\n1.5,0.1\n-2.25,0.3333333333333333\n"
+        header, rows = _read_table(p)
+        assert header == ["y", "x"]
+        assert [float(f) for _, fields in rows for f in fields] == [1.5, 0.1, -2.25, 1 / 3]
+        assert os.listdir(tmp_path) == ["data.csv"]
 
 
 class TestBenchmarks:

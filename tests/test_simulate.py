@@ -7,6 +7,7 @@ from clustreg import (
     CvConfig,
     EmConfig,
     ScenarioSpec,
+    SingularComponentError,
     StudyConfig,
     STUDY_COLUMNS,
     Variant,
@@ -15,6 +16,7 @@ from clustreg import (
     draw_scenario,
     run_study,
 )
+from clustreg import simulate
 
 
 class TestScenarioSpec:
@@ -176,6 +178,32 @@ class TestRunStudy:
         for rec in records:
             assert rec["scenario"].startswith("n80_G2")
             assert not rec["degenerate"]
+
+    def test_rows_are_built_from_records(self, monkeypatch):
+        # the second and sixth fits fail: HetN in replication 0, ConC in 1
+        calls = iter(range(100))
+        fit_estimator = simulate._fit_estimator
+
+        def flaky(*args):
+            if next(calls) in (1, 5):
+                raise SingularComponentError(0)
+            return fit_estimator(*args)
+
+        monkeypatch.setattr(simulate, "_fit_estimator", flaky)
+        config = self._config(estimators=(Variant.HOMN, Variant.HETN, Variant.CONC))
+        rows, records = run_study(config, keep_replications=True)
+        order = [(r["replication"], config.estimators.index(r["estimator"])) for r in records]
+        assert order == [(0, 0), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+        for row in rows:
+            mine = [r for r in records if r["estimator"] == row["estimator"]]
+            assert row["n_failed"] == config.replications - len(mine)
+            for col in ("mse_beta", "mse_sigma", "adj_rand", "time_s"):
+                assert row[col] == float(np.mean([r[col] for r in mine]))
+            if row["estimator"] == "conc":
+                assert row["mean_c"] == float(np.mean([r["c"] for r in mine]))
+            else:
+                assert math.isnan(row["mean_c"])
+        assert [row["n_failed"] for row in rows] == [0, 1, 1]
 
     def test_near_noiseless_recovers_partition_exactly(self):
         scenario = ScenarioSpec(

@@ -1,9 +1,13 @@
-"""Every name a module exports, and every target of the benchmark tracer, exists.
+"""Every name a module exports, and every target of the benchmark tracer, exists;
+no module keeps an import it never uses or a private name nothing references.
 
 The tracer in ``perfbench/spans.py`` patches functions and methods by name;
 a deleted or renamed target would otherwise surface only in a benchmark run.
+The source checks read the modules with ``ast``, so they catch what a
+deletion leaves behind without importing anything.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,6 +16,7 @@ import pytest
 
 MODULES = ("model", "em", "tuning", "metrics", "simulate", "io", "cli")
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "clustreg"
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +49,56 @@ def test_traced_methods_exist(spans):
         if not callable(getattr(getattr(importlib.import_module(module), cls, None), method, None))
     ]
     assert missing == []
+
+
+def _sources():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _module_names(tree):
+    """(line, name) of every name a module binds at its top level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node.lineno, name.id
+
+
+def test_no_unused_imports():
+    unused = []
+    for filename, tree in _sources().items():
+        if filename == "__init__.py":
+            continue        # its imports are the package's public surface
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{filename}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
+def test_private_module_names_are_referenced():
+    sources = _sources()
+    referenced = set()
+    for tree in sources.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = [
+        f"{filename}:{line}: {name}"
+        for filename, tree in sources.items()
+        for line, name in _module_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
+    ]
+    assert unreferenced == []

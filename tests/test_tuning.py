@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,6 +238,25 @@ class TestSelectC:
         ratio = float(warm.variances.min() / warm.variances.max())
         for r, is_finite in zip(report.rows, finite):
             assert is_finite == (ratio >= r.c * (1 - 1e-9))
+
+
+    def test_ratio_within_tolerance_of_c_is_feasible(self):
+        # A grid c just above the warm start's variance ratio, inside the
+        # relative 1e-9 tolerance, is scored, and run_em accepts the warm
+        # start at that c: the grid and the kernel share one rule.
+        data, _, _ = make_two_line_data(seed=40, n=120, noise=(0.1, 1.0))
+        cv = CvConfig(n_repeats=3, c_grid=(0.001, 1.0), seed=14)
+        warm = select_c(data, 2, cv, EmConfig(), 5).warm_start
+        ratio = float(warm.variances.min() / warm.variances.max())
+        c = ratio * (1 + 1e-10)
+        assert ratio < c < 1.0
+        report = select_c(data, 2, replace(cv, c_grid=(0.001, c)), EmConfig(), 5)
+        assert np.array_equal(report.warm_start.variances, warm.variances)
+        assert math.isfinite(report.rows[1].cv_loglik)
+        target = report.target_variance
+        run_em(data, 2, ConstraintSpec.constrained(c, target), EmConfig(), warm)
+        with pytest.raises(ValueError, match="feasible initial guess"):
+            run_em(data, 2, ConstraintSpec.constrained(ratio * (1 + 1e-8), target), EmConfig(), warm)
 
 
 class TestFitConc:
