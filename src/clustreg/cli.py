@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -25,7 +24,7 @@ from .em import (
 )
 from .tuning import CvConfig, _estimate_target, fit_conc
 from .metrics import adjusted_rand, bic, param_mse
-from .simulate import ScenarioSpec, StudyConfig, run_study
+from .simulate import StudyConfig, run_study
 from . import io
 
 __all__ = ["main", "build_parser", "load_presets"]
@@ -51,17 +50,13 @@ def _err(msg):
     print(f"error: {msg}", file=sys.stderr)
 
 
+_PROTOCOL_STARTS = {"ceo": 50, "temperature": 100, "iris": 500}  # published pool sizes
+
+
 def load_presets() -> dict:
-    """Benchmark protocol constants from the bundled key-value presets file."""
-    presets = {}
-    text = io.bundled_path("presets.txt").read_text()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        presets[key.strip()] = value.strip()
-    return presets
+    """Benchmark protocol constants, as strings: pool size per dataset and CV test fraction."""
+    presets = {f"{name}.starts": str(n) for name, n in _PROTOCOL_STARTS.items()}
+    return {**presets, "cv.test_fraction": str(CvConfig.test_fraction)}
 
 
 def _add_input_args(p):
@@ -81,7 +76,7 @@ def _add_input_args(p):
 
 def _add_em_args(p):
     p.add_argument("--components", type=int, required=True, metavar="G")
-    p.add_argument("--starts", type=int, default=10)
+    p.add_argument("--starts", type=int, default=StudyConfig.n_starts)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=EmConfig.max_iterations)
     p.add_argument("--tol", type=float, default=EmConfig.tolerance)
@@ -199,85 +194,25 @@ def _cmd_tune(args) -> int:
     return _emit_fit(args, data, fit, spec, cv_report=report)
 
 
-def _from_dict(cls, d: dict, fields=None, **values):
-    """``cls`` built from the keys of ``d`` that name its fields (or ``fields``).
-
-    Other keys are ignored, absent ones take the dataclass defaults, and
-    ``values`` override both.
-    """
-    names = fields or {f.name for f in dataclasses.fields(cls)}
-    try:
-        return cls(**{**{k: v for k, v in d.items() if k in names}, **values})
-    except TypeError as exc:
-        raise UsageError(f"{cls.__name__}: {exc}") from None
-
-
-def _typed(value, kind, what: str):
-    """``value``, which a JSON document holds at ``what``, checked to be a ``kind``."""
-    if not isinstance(value, kind):
-        name = "an object" if kind is dict else "an array"
-        raise TypeError(f"{what} must be {name}, found {type(value).__name__}")
-    return value
-
-
-def _read_json(path, build):
-    """``build(doc)`` for the JSON object in file ``path``.
-
-    Text that is not JSON, a top level that is not an object, a missing field,
-    or a field ``build`` finds of the wrong type is a ValueError naming the
-    file (and the field).
-    """
-    try:
-        with open(path) as fh:
-            return build(_typed(json.load(fh), dict, "the top level"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _study_config(doc) -> StudyConfig:
-    # replication seeds, the CV splits' included, derive from the study seed
-    scenarios = _typed(doc["scenarios"], list, "field 'scenarios'")
-    return _from_dict(
-        StudyConfig, doc,
-        scenarios=tuple(_from_dict(ScenarioSpec, _typed(d, dict, f"scenarios[{i}]"))
-                        for i, d in enumerate(scenarios)),
-        cv=_from_dict(CvConfig, _typed(doc.get("cv", {}), dict, "field 'cv'"),
-                      ("n_repeats", "test_fraction", "c_grid")),
-        em=_from_dict(EmConfig, doc, ("max_iterations", "tolerance")),
-    )
-
-
 def _cmd_simulate(args) -> int:
-    rows = run_study(_read_json(args.scenario_file, _study_config))
+    rows = run_study(io.read_json(args.scenario_file, io.study_from_document))
     if args.emit == "json":
-        io._atomic_write_text(args.output, json.dumps(rows, indent=2) + "\n")
+        io.write_json(rows, args.output)
     else:
         io.write_study_csv(rows, args.output)
     return EXIT_OK
 
 
-def _read_labels(spec: str) -> np.ndarray:
-    path, _, column = spec.partition(":")
-    header, rows = io._read_table(path)
-    col = io._column(column or 0, header, len(header), "label column")
-    return io._codes([r[col].strip() for _, r in rows])[1]
-
-
 def _cmd_evaluate(args) -> int:
-    variant, fit = _read_json(args.fit, lambda d: (d.get("variant"), io.fit_from_document(d)))
+    variant, fit = io.read_json(args.fit, lambda d: (d.get("variant"), io.fit_from_document(d)))
     out = {}
     if args.benchmark:
-        labeled = io.load_benchmark(args.benchmark)
-        truth_labels = labeled.true_labels
-        out["adj_rand"] = adjusted_rand(truth_labels, fit.labels)
+        out["adj_rand"] = adjusted_rand(io.load_benchmark(args.benchmark).true_labels, fit.labels)
     elif args.labels:
-        out["adj_rand"] = adjusted_rand(_read_labels(args.labels), fit.labels)
+        path, _, column = args.labels.partition(":")
+        out["adj_rand"] = adjusted_rand(io.read_labels(path, column or 0), fit.labels)
     if args.truth:
-        mse = param_mse(_read_json(args.truth, io._params_from_document), fit.params)
+        mse = param_mse(io.read_json(args.truth, io.params_from_document), fit.params)
         out["mse_beta"] = mse.avg_mse_beta
         out["mse_sigma"] = mse.avg_mse_sigma
     if not out:
@@ -285,11 +220,7 @@ def _cmd_evaluate(args) -> int:
     if variant in ("hetn", "homn"):
         out["bic"] = bic(fit, fit.labels.size, variant, fit.params.n_components,
                          fit.params.n_features)
-    text = json.dumps(out, indent=2) + "\n"
-    if args.output:
-        io._atomic_write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    io.write_json(out, args.output)
     return EXIT_OK
 
 
@@ -313,7 +244,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _err(f"usage: {exc}")
         return EXIT_USAGE
-    except (io.CsvFormatError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _err(str(exc))
         return EXIT_USAGE
     except (SingularComponentError, EmptyComponentError, MultiStartError) as exc:

@@ -358,17 +358,15 @@ def initialize(data: Dataset, G: int, spec: ConstraintSpec, seed) -> ModelParams
 def _update_variances(ss, totals, n, variant, roots):
     # Same arithmetic as m_step_variances, homoscedastic_variance and
     # clamp_variances, for the (A, G) sums of squares of A members; roots
-    # holds each member's sqrt(c).
-    if variant is Variant.HOMN:
-        return np.repeat(ss.sum(axis=-1, keepdims=True) / n, ss.shape[-1], axis=-1)
+    # holds each member's sqrt(c), 1 for HomN.
     raw = ss / totals
+    if variant is Variant.HETN:
+        return raw
     # The clamp target is the current pooled variance, recomputed every
-    # M-step.  With a single component the pooled and per-component updates
-    # coincide and the clamp is skipped to keep the reduction bit-exact.
-    if variant is Variant.CONC and ss.shape[-1] > 1:
-        target = ss.sum(axis=-1, keepdims=True) / n
-        return np.clip(raw, target * roots[:, None], target / roots[:, None])
-    return raw
+    # M-step.  HomN is the clamp at c = 1, whose bounds are exactly the target;
+    # with G = 1 every posterior is exactly 1, so raw is the target.
+    target = ss.sum(axis=-1, keepdims=True) / n
+    return np.clip(raw, target * roots[:, None], target / roots[:, None])
 
 
 def _feasible(params: ModelParams, c: float) -> bool:

@@ -8,9 +8,11 @@ path.  Source URLs are documented in the README.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -20,9 +22,9 @@ from io import StringIO
 import numpy as np
 
 from .model import Dataset, ModelParams, Responsibilities
-from .em import ConstraintSpec, FitResult
-from .tuning import CvReport
-from .simulate import STUDY_COLUMNS
+from .em import ConstraintSpec, EmConfig, FitResult
+from .tuning import CvConfig, CvReport
+from .simulate import STUDY_COLUMNS, ScenarioSpec, StudyConfig
 
 __all__ = [
     "CsvSchema",
@@ -30,10 +32,14 @@ __all__ = [
     "CsvFormatError",
     "load_csv",
     "load_benchmark",
+    "read_labels",
     "write_csv",
+    "read_json",
+    "write_json",
     "write_fit",
-    "read_fit",
+    "params_from_document",
     "fit_from_document",
+    "study_from_document",
     "write_study_csv",
     "write_plot_data",
     "bundled_path",
@@ -173,6 +179,13 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     return _to_dataset(rows, cols, names, schema.add_intercept)
 
 
+def read_labels(path, column=0) -> np.ndarray:
+    """Integer codes, in order of first appearance, of a label column given by index or name."""
+    header, rows = _read_table(path)
+    col = _column(column, header, len(header), "label column")
+    return _codes([row[col].strip() for _, row in rows])[1]
+
+
 def write_csv(data: Dataset, path) -> None:
     """Write a Dataset (response first, then non-intercept regressors)."""
     _, X, names = _non_intercept(data)
@@ -221,17 +234,18 @@ def load_benchmark(name: str, path=None) -> LabeledDataset:
 
 
 def _atomic_write_text(path, text: str) -> None:
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write ``path`` via a temporary file beside it; a failure is an OSError naming ``path``."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", text=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _write_rows(path, rows) -> None:
@@ -281,45 +295,101 @@ def fit_document(fit: FitResult, spec: ConstraintSpec, cv: CvReport = None) -> d
     return doc
 
 
+def write_json(doc, path=None) -> None:
+    """``doc`` as indented JSON, written atomically to ``path`` (to stdout if None)."""
+    text = json.dumps(doc, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        _atomic_write_text(path, text)
+
+
 def write_fit(fit: FitResult, spec: ConstraintSpec, path, cv: CvReport = None) -> None:
     """Persist a fit (and optional CV report) as JSON, atomically."""
-    try:
-        _atomic_write_text(path, json.dumps(fit_document(fit, spec, cv), indent=2) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write fit to {path}: {exc}") from exc
+    write_json(fit_document(fit, spec, cv), path)
 
 
-def read_fit(path) -> dict:
-    """Read back a fit document written by write_fit."""
+def _typed(value, kind, what: str):
+    """``value``, which a JSON document holds at ``what``, checked to be a ``kind``."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise TypeError(f"{what} must be {name}, found {type(value).__name__}")
+    return value
+
+
+def read_json(path, build=dict):
+    """``build(doc)`` for the JSON object in file ``path`` (the object itself by default).
+
+    An unreadable file is an OSError naming it.  Text that is not JSON, or a
+    document ``build`` rejects, is a ValueError naming the file and the field.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
-        raise OSError(f"cannot read fit from {path}: {exc}") from exc
+        raise OSError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        return build(_typed(doc, dict, "the top level"))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _params_from_document(doc: dict) -> ModelParams:
+def _array(doc: dict, key: str, dtype=float) -> np.ndarray:
+    """Field ``key`` of ``doc`` as an array; a value that is not one is a ValueError naming it."""
+    try:
+        return np.array(doc[key], dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
+def params_from_document(doc: dict) -> ModelParams:
     """The ModelParams held by a fit or truth document."""
-    return ModelParams(
-        np.array(doc["weights"]),
-        np.array(doc["coefficients"]),
-        np.array(doc["variances"]),
-    )
+    return ModelParams(*(_array(doc, key) for key in ("weights", "coefficients", "variances")))
 
 
 def fit_from_document(doc: dict) -> FitResult:
     """Rebuild a FitResult from a fit document."""
-    params = _params_from_document(doc)
-    resp = Responsibilities(np.array(doc["responsibilities"]))
     return FitResult(
-        params=params,
+        params=params_from_document(doc),
         loglik=doc["loglik"],
-        loglik_trace=np.array(doc["trace"]),
-        responsibilities=resp,
-        labels=np.array(doc["labels"]),
+        loglik_trace=_array(doc, "trace"),
+        responsibilities=Responsibilities(_array(doc, "responsibilities")),
+        labels=_array(doc, "labels", int),
         converged=doc["converged"],
         degenerate=doc["degenerate"],
         iterations=doc["iterations"],
+    )
+
+
+def _from_dict(cls, d, what: str, fields=None, **values):
+    """``cls`` from the keys of ``d``, the object at ``what``, that name its fields (or ``fields``).
+
+    Other keys are ignored, absent ones take the dataclass defaults, and
+    ``values`` override both.  A value ``cls`` rejects is a ValueError naming ``what``.
+    """
+    names = fields or {f.name for f in dataclasses.fields(cls)}
+    kwargs = {k: v for k, v in _typed(d, dict, what).items() if k in names}
+    try:
+        return cls(**{**kwargs, **values})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
+def study_from_document(doc: dict) -> StudyConfig:
+    """The StudyConfig a scenario document describes."""
+    # replication seeds, the CV splits' included, derive from the study seed
+    scenarios = _typed(doc["scenarios"], list, "field 'scenarios'")
+    return _from_dict(
+        StudyConfig, doc, "the top level",
+        scenarios=tuple(_from_dict(ScenarioSpec, d, f"scenarios[{i}]")
+                        for i, d in enumerate(scenarios)),
+        cv=_from_dict(CvConfig, doc.get("cv", {}), "field 'cv'",
+                      ("n_repeats", "test_fraction", "c_grid")),
+        em=_from_dict(EmConfig, doc, "the top level", ("max_iterations", "tolerance")),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,11 +9,10 @@ from clustreg.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_USAGE,
-    _read_labels,
     load_presets,
     main,
 )
-from clustreg.io import CsvFormatError, CsvSchema, write_csv
+from clustreg.io import CsvFormatError, CsvSchema, read_labels, write_csv
 from clustreg.tuning import _estimate_target
 from conftest import make_two_line_data
 
@@ -248,14 +248,19 @@ class TestSimulate:
                     "--output", str(tmp_path / "o.csv")])
         assert code == EXIT_USAGE
 
+    SCENARIO = {"n": 60, "G": 2, "mixing": [0.5, 0.5], "intercepts": [0, 5]}
+
     @pytest.mark.parametrize("doc, field", [
         ({"scenarios": 5}, "field 'scenarios'"),
         ({"scenarios": [5]}, "scenarios[0]"),
-        ({"scenarios": [{"n": 60, "G": 2, "mixing": [0.5, 0.5], "intercepts": [0, 5]}],
-          "cv": 3}, "field 'cv'"),
+        ({"scenarios": [SCENARIO], "cv": 3}, "field 'cv'"),
         ([1, 2], "top level"),
         ({}, "field 'scenarios'"),
-    ], ids=["scenarios-int", "scenario-int", "cv-int", "top-level-list", "empty"])
+        ({"scenarios": [{"n": 60}]}, "scenarios[0]"),
+        ({"scenarios": [SCENARIO], "cv": {"c_grid": 5}}, "field 'cv'"),
+        ({"scenarios": [SCENARIO], "replications": 0}, "the top level"),
+    ], ids=["scenarios-int", "scenario-int", "cv-int", "top-level-list", "empty",
+            "scenario-missing-fields", "c-grid-int", "zero-replications"])
     def test_malformed_scenario_file_named(self, tmp_path, capsys, doc, field):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
@@ -330,12 +335,13 @@ class TestEvaluate:
         assert err.startswith("error:") and "\n" not in err.strip()
         assert "label column 'zz' not found" in err
         with pytest.raises(CsvFormatError, match="'zz'"):
-            _read_labels(f"{labels_file}:zz")
+            read_labels(labels_file, "zz")
 
     @pytest.mark.parametrize("doc, field", [
         ([], "top level"),
         ({}, "field 'weights'"),
-    ], ids=["top-level-list", "empty"])
+        ({"weights": "abc", "coefficients": [[0.0, 1.0]], "variances": [1.0]}, "field 'weights'"),
+    ], ids=["top-level-list", "empty", "weights-string"])
     def test_malformed_fit_file_named(self, tmp_path, capsys, doc, field):
         p = tmp_path / "fit.json"
         p.write_text(json.dumps(doc))
@@ -367,6 +373,59 @@ class TestEvaluate:
         assert "adj_rand" in json.loads(out.read_text())
 
 
+class TestUnwritableOutput:
+    """An output that cannot be written is one error line naming it, exit 1, no temp file."""
+
+    @pytest.fixture(params=["missing-directory", "is-a-directory"])
+    def output(self, request, tmp_path):
+        if request.param == "is-a-directory":
+            (tmp_path / "out").mkdir()
+            return tmp_path / "out"
+        return tmp_path / "missing" / "out"
+
+    def check(self, argv, output, capsys):
+        assert run(argv + ["--output", str(output)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {output}:") and "\n" not in err.strip()
+        assert ".tmp-" not in err
+        if output.parent.exists():  # where a temporary file would be made
+            assert [f for f in os.listdir(output.parent) if f.startswith(".tmp-")] == []
+
+    @pytest.mark.parametrize("emit", ["json", "plot-data"])
+    def test_fit(self, data_csv, output, capsys, emit):
+        self.check(["fit", "--input", str(data_csv), "--response", "y", "--regressors", "x",
+                    "--components", "2", "--variant", "hetn", "--starts", "2",
+                    "--emit", emit], output, capsys)
+
+    def test_tune(self, data_csv, output, capsys):
+        self.check(["tune", "--input", str(data_csv), "--response", "y", "--regressors", "x",
+                    "--components", "2", "--starts", "2", "--cv-repeats", "2",
+                    "--c-grid", "0.1,1.0"], output, capsys)
+
+    @pytest.mark.parametrize("emit", ["csv", "json"])
+    def test_simulate(self, tmp_path, output, capsys, emit):
+        scenario_file = tmp_path / "study.json"
+        scenario_file.write_text(json.dumps({
+            "scenarios": [{"n": 40, "G": 2, "mixing": [0.5, 0.5], "intercepts": [0.0, 10.0]}],
+            "replications": 1, "n_starts": 2, "estimators": ["homn"],
+        }))
+        self.check(["simulate", "--scenario-file", str(scenario_file), "--emit", emit],
+                   output, capsys)
+
+    def test_evaluate(self, data_csv, tmp_path, output, capsys):
+        fit_file = tmp_path / "fit.json"
+        assert run(["fit", "--input", str(data_csv), "--response", "y", "--regressors", "x",
+                    "--components", "2", "--variant", "hetn", "--starts", "2",
+                    "--output", str(fit_file)]) == EXIT_OK
+        truth_file = tmp_path / "truth.json"
+        truth_file.write_text(json.dumps({
+            "weights": [0.5, 0.5], "coefficients": [[2.0, 3.0], [-1.0, -2.0]],
+            "variances": [0.09, 0.25],
+        }))
+        self.check(["evaluate", "--fit", str(fit_file), "--truth", str(truth_file)],
+                   output, capsys)
+
+
 class TestPresets:
     def test_benchmark_protocol_constants(self):
         presets = load_presets()
@@ -374,3 +433,5 @@ class TestPresets:
         assert presets["temperature.starts"] == "100"
         assert presets["iris.starts"] == "500"
         assert float(presets["cv.test_fraction"]) == 0.1
+        assert presets == {"ceo.starts": "50", "temperature.starts": "100",
+                           "iris.starts": "500", "cv.test_fraction": "0.1"}

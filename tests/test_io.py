@@ -14,7 +14,7 @@ from clustreg.io import (
     fit_from_document,
     load_benchmark,
     load_csv,
-    read_fit,
+    read_json,
     write_csv,
     write_fit,
     write_plot_data,
@@ -196,7 +196,7 @@ class TestFitSerialization:
         data, spec, fit = small_fit
         p = tmp_path / "fit.json"
         write_fit(fit, spec, p)
-        doc = read_fit(p)
+        doc = read_json(p)
         back = fit_from_document(doc)
         assert back.loglik == fit.loglik
         assert np.array_equal(back.params.coefficients, fit.params.coefficients)
@@ -247,7 +247,7 @@ class TestFitSerialization:
 
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(OSError, match="cannot read"):
-            read_fit(tmp_path / "nope.json")
+            read_json(tmp_path / "nope.json")
 
 
 class TestStudyCsv:

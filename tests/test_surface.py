@@ -55,6 +55,10 @@ def _sources():
     return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _module_names(tree):
     """(line, name) of every name a module binds at its top level by def, class or assignment."""
     for node in tree.body:
@@ -99,6 +103,25 @@ def test_private_module_names_are_referenced():
         f"{filename}:{line}: {name}"
         for filename, tree in sources.items()
         for line, name in _module_names(tree)
-        if name.startswith("_") and not name.startswith("__") and name not in referenced
+        if _private(name) and name not in referenced
     ]
     assert unreferenced == []
+
+
+def test_io_private_names_stay_in_io():
+    """Other modules reach files only through io's public names."""
+    leaks = []
+    for filename, tree in _sources().items():
+        if filename == "io.py":
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "io" and _private(node.attr)):
+                leaks.append(f"{filename}:{node.lineno}: io.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (
+                (node.level == 1 and node.module == "io") or node.module == "clustreg.io"
+            ):
+                leaks += [f"{filename}:{node.lineno}: {alias.name}"
+                          for alias in node.names if _private(alias.name)]
+    assert leaks == []
+
