@@ -18,6 +18,7 @@ from .em import (
     FitResult,
     SingularComponentError,
     EmptyComponentError,
+    NumericalError,
     MultiStartError,
     m_step_weights,
     m_step_betas,

@@ -19,6 +19,7 @@ from .em import (
     EmConfig,
     EmptyComponentError,
     MultiStartError,
+    NumericalError,
     SingularComponentError,
     multi_start_fit,
 )
@@ -244,12 +245,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _err(f"usage: {exc}")
         return EXIT_USAGE
+    except (NumericalError, SingularComponentError, EmptyComponentError, MultiStartError) as exc:
+        _err(f"numerical failure: {exc}")
+        return EXIT_NUMERICAL
     except (OSError, ValueError) as exc:
         _err(str(exc))
         return EXIT_USAGE
-    except (SingularComponentError, EmptyComponentError, MultiStartError) as exc:
-        _err(f"numerical failure: {exc}")
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -23,13 +23,21 @@ members share one sample broadcasts it instead.  The batch holds at most
 ``2**14 // (G*n)`` members (a fixed budget of posterior elements, read off
 the input).  A member leaves as soon as it converges, hits the iteration
 cap, degenerates, has a step rejected or fails a check, and its lane is
-refilled with the next member; a start is initialised only then, in start
-order, on its own seed stream.  A member leaves as raw arrays (parameters,
-log-likelihood, trace and flags), and only a caller that returns a FitResult
-builds one, recomputing its posteriors then.  Every per-member operation is
-the same floating-point arithmetic as a run on its own, so a member's
-result does not depend on which others share its batch.  ``run_em`` is the
-one-member call.
+refilled with a waiting fork (below) or the next member; a start is
+initialised only then, in start order, on its own seed stream.  A member
+leaves as raw arrays (parameters, log-likelihood, trace and flags), and only
+a caller that returns a FitResult builds one, recomputing its posteriors
+then.  Every per-member operation is the same floating-point arithmetic as
+a run on its own, so a member's result does not depend on which others share
+its batch.  ``run_em`` is the one-member call.
+
+Members that differ only in a larger c share a lane: until its clamp first
+binds, such a member repeats bit for bit the steps at the smallest c, since
+no other step depends on c.  So the smallest c runs as the leader and carries
+the larger ones as shadows.  Shadows whose bounds bind in an M-step (a suffix,
+the bounds being nested) fork: each becomes a run of its own from the
+leader's state at the start of that iteration, waits for a lane ahead of new
+members and re-runs that M-step.  A leader's outcome is its shadows' outcome.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ __all__ = [
     "FitResult",
     "SingularComponentError",
     "EmptyComponentError",
+    "NumericalError",
     "MultiStartError",
     "m_step_weights",
     "m_step_betas",
@@ -106,6 +115,10 @@ class EmptyComponentError(RuntimeError):
         super().__init__(
             f"component {component} has zero total responsibility; restart advised"
         )
+
+
+class NumericalError(InvalidParameterError):
+    """A fit broke down numerically: an invariant failed inside EM, or the response is flat."""
 
 
 class MultiStartError(RuntimeError):
@@ -355,18 +368,23 @@ def initialize(data: Dataset, G: int, spec: ConstraintSpec, seed) -> ModelParams
     raise SingularComponentError(-1, f"no full-rank partition found in {_INIT_ATTEMPTS} attempts")
 
 
-def _update_variances(ss, totals, n, variant, roots):
+def _update_variances(ss, totals, n, variant, roots, shadows=None):
     # Same arithmetic as m_step_variances, homoscedastic_variance and
     # clamp_variances, for the (A, G) sums of squares of A members; roots
-    # holds each member's sqrt(c), 1 for HomN.
+    # holds each member's sqrt(c), 1 for HomN.  Given the (m,) roots of
+    # shadows, also flags (A, m) the shadows whose own clamp would bind.
     raw = ss / totals
     if variant is Variant.HETN:
-        return raw
+        return raw, None
     # The clamp target is the current pooled variance, recomputed every
     # M-step.  HomN is the clamp at c = 1, whose bounds are exactly the target;
     # with G = 1 every posterior is exactly 1, so raw is the target.
     target = ss.sum(axis=-1, keepdims=True) / n
-    return np.clip(raw, target * roots[:, None], target / roots[:, None])
+    binds = None
+    if shadows is not None:
+        t, r = target[..., None], shadows[:, None]
+        binds = ((raw[:, None] < t * r) | (raw[:, None] > t / r)).any(axis=-1)
+    return np.clip(raw, target * roots[:, None], target / roots[:, None]), binds
 
 
 def _feasible(params: ModelParams, c: float) -> bool:
@@ -385,17 +403,19 @@ def _check_init(G: int, variant: Variant, c, init: ModelParams) -> None:
 
 
 def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
-              keep_history: bool = False) -> list:
+              keep_history: bool = False, shadows=()) -> list:
     """The EM loop: advance a stream of members together, a bounded number at a time.
 
     ``samples`` holds one or more datasets of one size.  ``members`` yields
-    ``(slot, init, c)`` in member order: the member runs on ``samples[slot]``
-    from ``init``, c being the constant of a constrained member; an exception
-    in place of ``init`` is that member's outcome.  Returns one outcome per
-    member: its _Run, the SingularComponentError that stopped it, or the
-    InvalidParameterError of a failed invariant check.  After an invariant
-    failure no further member is admitted, so the outcomes may end early;
-    members admitted before it still run to their end.
+    ``(slot, init, c)``: the member runs on ``samples[slot]`` from ``init``, c
+    being the constant of a constrained member; an exception in place of
+    ``init`` is that member's outcome.  Each of the ascending ``shadows``,
+    all above every c, adds a shadow member at that constant to each member.
+    Returns an outcome (a _Run, the SingularComponentError that stopped the
+    run, or the NumericalError of a failed check) per member taken, ordered by
+    key (rank, index), rank r > 0 being the r-th shadow.  A member keyed after
+    an invariant failure is not admitted (its outcome is None, or missing
+    from the end); every member keyed before it runs to its end.
     """
     n = samples[0].n
     # (S, n, J) designs, (S, J, n) transposes and (S, 1, n) responses.  Both
@@ -405,6 +425,8 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
     X = np.stack([s.design for s in samples])
     Xt = np.ascontiguousarray(X.swapaxes(-1, -2))
     Y = np.stack([s.responses for s in samples])[:, None, :]
+    if (Y.max(axis=-1) == Y.min(axis=-1)).any():
+        raise NumericalError("responses have no spread (max == min)")
     floors = np.array([config.resolve_floor(s) for s in samples])
     shared = len(samples) == 1
 
@@ -415,11 +437,16 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
         return _residual_rows(rows(Y, slots), rows(X, slots), betas)
 
     lanes = max(1, _LANE_BUDGET // (G * n))
+    roots, m = np.sqrt(shadows), len(shadows)
     source = iter(members)
-    outcomes, traces, history = [], {}, {}
-    # Lane state, one row per active member: id (member index), slot (its
-    # sample), w/b/v (weights, coefficients, variances), p (posteriors), ll
-    # (log-likelihood), it (iterations) and root (sqrt c).
+    outcomes, traces, history = {}, {}, {}
+    keys = []         # (rank, member index) of each run, by run id
+    forks = {}        # (lane row, trace, history) of each fork waiting for a lane, by key
+    taken = 0         # members taken from the source
+    stop = (math.inf,)    # key of the earliest invariant failure
+    # Lane state, one row per active run: id, slot (its sample), w/b/v
+    # (weights, coefficients, variances), p (posteriors), ll (log-likelihood),
+    # it (iterations), root (sqrt c) and q (shadows carried: ranks 1..q).
     lane = None
     open_ = True      # members left to admit
 
@@ -433,7 +460,8 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
                 float(lane["ll"][a]), trace, bool(converged), bool(degenerate), int(lane["it"][a]),
                 tuple(hist) if hist is not None else (),
             )
-        outcomes[k] = outcome
+        rank, index = keys[k]
+        outcomes.update(((r, index), outcome) for r in range(rank, rank + int(lane["q"][a]) + 1))
 
     def keep(mask, *arrays):
         nonlocal lane
@@ -441,35 +469,51 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
         return [arr[mask] for arr in arrays]
 
     while True:
-        # refill free lanes in member order
-        fresh = []
+        # refill: waiting forks in key order first, so few wait, then new members
+        fresh, resumed = [], []
         room = lanes - (0 if lane is None else lane["id"].size)
-        while open_ and len(fresh) < room:
-            item = next(source, None)
+        while len(fresh) + len(resumed) < room:
+            open_ = open_ and (0, taken) < stop
+            first = min(forks, default=stop)
+            if first < stop:
+                row, trace, hist = forks.pop(first)
+                keys.append(first)
+                traces[len(keys) - 1], history[len(keys) - 1] = list(trace), list(hist)
+                resumed.append(dict(row, id=len(keys) - 1, root=roots[first[0] - 1], q=0))
+                continue
+            item = next(source, None) if open_ else None
             if item is None:
                 open_ = False
                 break
             slot, init, c = item
-            outcomes.append(init)
-            if not isinstance(init, Exception):
-                _check_init(G, variant, c, init)
-                fresh.append((len(outcomes) - 1, slot, init, 1.0 if c is None else c))
+            taken += 1
+            if isinstance(init, Exception):
+                outcomes.update({(r, taken - 1): init for r in range(m + 1)})
+                continue
+            _check_init(G, variant, shadows[-1] if m else c, init)
+            keys.append((0, taken - 1))
+            fresh.append((len(keys) - 1, slot, init, 1.0 if c is None else c))
+        parts = [] if lane is None else [lane]
         if fresh:
             ids, slots, inits, cs = zip(*fresh)
             slots = np.array(slots)
-            W = np.array([p.weights for p in inits])
-            B = np.array([p.coefficients for p in inits])
-            V = np.array([p.variances for p in inits])
+            W, B, V = (np.array([getattr(p, f) for p in inits])
+                       for f in ("weights", "coefficients", "variances"))
             ll, P, _ = _e_step_arrays(residuals(slots, B), W, V)
-            new = dict(id=np.array(ids), slot=slots, w=W, b=B, v=V, p=P, ll=ll,
-                       it=np.zeros(len(ids), dtype=np.intp), root=np.sqrt(cs))
-            lane = new if lane is None else {k: np.concatenate([lane[k], new[k]]) for k in lane}
+            parts.append(dict(id=np.array(ids), slot=slots, w=W, b=B, v=V, p=P, ll=ll,
+                              it=np.zeros(len(ids), dtype=np.intp), root=np.sqrt(cs),
+                              q=np.full(len(ids), m)))
             for k, init, v in zip(ids, inits, ll.tolist()):
                 traces[k] = [v]
                 if keep_history:
                     history[k] = [init]
+        if resumed:
+            parts.append({key: np.array([row[key] for row in resumed]) for key in resumed[0]})
+        if fresh or resumed:
+            lane = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+        del parts, resumed    # so the rows joined into the lanes are freed
         if lane is None or lane["id"].size == 0:
-            return outcomes
+            return [outcomes.get((r, k)) for r in range(m + 1) for k in range(taken)]
 
         # M-step; a member with a singular component leaves
         totals = lane["p"].sum(axis=-1)
@@ -486,7 +530,18 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
                 continue
         resid = residuals(lane["slot"], betas)
         ss = _weighted_ss(lane["p"], resid)
-        variances = _update_variances(ss, totals, n, variant, lane["root"])
+        live = m and lane["q"].any()
+        variances, binds = _update_variances(
+            ss, totals, n, variant, lane["root"], roots if live else None)
+        if live:
+            # binding shadows fork, to re-run this M-step from the leader's state
+            binds &= np.arange(m) < lane["q"][:, None]
+            for a in np.flatnonzero(binds.any(axis=1)):
+                k, first, q = int(lane["id"][a]), int(binds[a].argmax()), int(lane["q"][a])
+                state = ({key: arr[a].copy() for key, arr in lane.items()},
+                         traces[k][:], history.get(k, [])[:])
+                forks.update(((r, keys[k][1]), state) for r in range(first + 1, q + 1))
+                lane["q"][a] = first
         degenerate = np.zeros(lane["id"].size, dtype=bool)
         if variant is Variant.HETN:
             degenerate = variances.min(axis=-1) < floors[lane["slot"]]
@@ -497,9 +552,9 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
         # invariant check; a member that fails it leaves before its E-step
         faults = _check_params(weights, betas, variances)
         if (faults >= 0).any():
-            open_ = False
             for a in np.flatnonzero(faults >= 0):
-                leave(a, InvalidParameterError(_PARAM_FAULTS[faults[a]]))
+                stop = min(stop, keys[int(lane["id"][a])])
+                leave(a, NumericalError(_PARAM_FAULTS[faults[a]]))
             weights, betas, variances, resid, degenerate = keep(
                 faults < 0, weights, betas, variances, resid, degenerate)
             if lane["id"].size == 0:

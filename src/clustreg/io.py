@@ -119,12 +119,15 @@ def _column(spec, header, n_cols, what) -> int:
 def _read_table(path, delimiter: str = ",", has_header: bool = True):
     """(header or None, [(line number, fields)]) of every non-blank row.
 
-    Raises CsvFormatError for an empty file, a header with no rows, or a row
-    whose field count differs from the header's (the first row's without one).
+    Raises CsvFormatError for non-UTF-8 text, an empty file, a header with no
+    rows, or a row whose field count differs from the header's (or first row's).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        rows = [(i + 1, row) for i, row in enumerate(reader) if row and any(c.strip() for c in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh, delimiter=delimiter))
+                    if row and any(c.strip() for c in row)]
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not valid UTF-8: {exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
     header = None

@@ -5,8 +5,8 @@ temporary estimate serves as the starting value for every training fit, then
 K train/test splits shared across the whole grid (common random numbers),
 scoring each trained model on its test set and summing the K test
 contributions.  All splits are drawn first; the training fits of every
-split x feasible c then run as one batch of the EM kernel, and the trained
-models are scored on their test sets in one pass.
+split x feasible c then run as one kernel batch, a leader per split carrying
+the larger c as shadows (``em``); trained models are scored in one pass.
 """
 
 from __future__ import annotations
@@ -128,13 +128,13 @@ def _cv_grid(data, G, cs, warm_start, target, cv, em) -> list[tuple[float, int]]
 
     Every split is drawn and its training set subset first; the training fits
     of every (c, split) pair then run as one kernel batch from
-    ``warm_start``, and every trained model is scored on its test set in one
-    pass.  A training fit that fails hard is scored with the warm-start model
+    ``warm_start``, a leader per split at ``cs[0]`` with the larger c as its
+    shadows, and every trained model is scored on its test set in one pass.
+    A training fit that fails hard is scored with the warm-start model
     instead and counts as a fallback.  If training fits fail the parameter
     invariant check, the error raised is that of the lowest such c and, for
-    that c, the earliest split.  Members enter the batch in that order and
-    every member admitted before a failure runs to its end, so the pairs the
-    kernel no longer admits after one cannot hold an earlier failure.
+    that c, the earliest split: the kernel keys its members so, and after a
+    failure still runs every member and fork keyed before it.
     """
     for c in cs:
         ConstraintSpec.constrained(c, target)     # validates c and the target
@@ -146,8 +146,8 @@ def _cv_grid(data, G, cs, warm_start, target, cv, em) -> list[tuple[float, int]]
     splits = [make_split(data.n, cv.test_fraction, np.random.default_rng(s)) for s in seeds]
     K = len(splits)
     trains = [data.subset(train) for train, _ in splits]
-    members = [(k, warm_start, c) for c in cs for k in range(K)]
-    fits = _em_lanes(trains, G, Variant.CONC, em, members)
+    members = [(k, warm_start, cs[0]) for k in range(K)]
+    fits = _em_lanes(trains, G, Variant.CONC, em, members, shadows=cs[1:])
     for fit in fits:
         if isinstance(fit, InvalidParameterError):
             raise fit

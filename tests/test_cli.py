@@ -7,6 +7,7 @@ import pytest
 from clustreg import Dataset, EmConfig
 from clustreg.cli import (
     EXIT_DEGENERATE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     load_presets,
@@ -76,6 +77,17 @@ class TestUsageErrors:
         ])
         assert code == EXIT_USAGE
         assert "line 3" in capsys.readouterr().err
+
+    def test_not_utf8_input_named(self, tmp_path, capsys):
+        p = tmp_path / "utf16.csv"
+        p.write_bytes(b"\xff\xfex,y\n1,2\n")
+        code = run([
+            "fit", "--input", str(p), "--response", "y", "--regressors", "x",
+            "--components", "1", "--variant", "hetn",
+            "--output", str(tmp_path / "o.json"),
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {p}: not valid UTF-8")
 
     def test_short_benchmark_row_reports_line(self, tmp_path, capsys):
         p = tmp_path / "short.csv"
@@ -189,6 +201,44 @@ class TestFit:
             assert json.loads(out.read_text())["degenerate"]
         else:
             assert code == EXIT_OK  # collapse is likely but not guaranteed
+
+
+class TestNumericalFailure:
+    """Fits that break down numerically exit 2 and write nothing."""
+
+    @staticmethod
+    def csv(tmp_path, responses):
+        data, _, _ = make_two_line_data(seed=26, n=40)
+        path = tmp_path / "data.csv"
+        write_csv(Dataset(responses(data), data.design, ("intercept", "x")), path)
+        return path
+
+    @pytest.mark.parametrize("variant", [
+        ["fit", "--variant", "hetn"],
+        ["fit", "--variant", "homn"],
+        ["fit", "--variant", "conc", "--c", "0.5"],
+        ["tune"],
+    ], ids=["hetn", "homn", "conc", "tune"])
+    def test_flat_response(self, tmp_path, capsys, variant):
+        # a constant 0.1 leaves rounding residuals: without the check, tune
+        # reported a converged fit with variances ~1e-33
+        path = self.csv(tmp_path, lambda d: np.full(d.n, 0.1))
+        out = tmp_path / "fit.json"
+        code = run([*variant, "--input", str(path), "--response", "y", "--regressors", "x",
+                    "--components", "2", "--starts", "3", "--output", str(out)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "error: numerical failure: responses have no spread (max == min)\n"
+        assert not out.exists()
+
+    def test_invariant_failure_inside_em(self, tmp_path, capsys):
+        path = self.csv(tmp_path, lambda d: d.responses * 1e-200)
+        code = run(["fit", "--variant", "hetn", "--input", str(path), "--response", "y",
+                    "--regressors", "x", "--components", "2", "--starts", "3",
+                    "--output", str(tmp_path / "fit.json")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "error: numerical failure: variances must be strictly positive\n"
 
 
 class TestTune:

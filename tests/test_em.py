@@ -12,6 +12,7 @@ from clustreg import (
     EmptyComponentError,
     InvalidParameterError,
     ModelParams,
+    NumericalError,
     Responsibilities,
     SingularComponentError,
     Variant,
@@ -513,9 +514,25 @@ class TestMultiStart:
         tiny = Dataset(data.responses * 1e-200, data.design)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(InvalidParameterError, match="^variances must be strictly positive$"):
+            message = "^variances must be strictly positive$"
+            with pytest.raises(InvalidParameterError, match=message) as info:
                 multi_start_fit(tiny, 2, spec, EmConfig(), 5, seed=12)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert isinstance(info.value, NumericalError)
+
+    @pytest.mark.parametrize("variant", ["hetn", "homn", "conc"])
+    def test_flat_response_is_a_numerical_error(self, variant):
+        # 0.1 is not a binary fraction: least squares on a constant 0.1
+        # leaves rounding residuals, and EM would report variances ~1e-33
+        data, _, _ = make_two_line_data(seed=26, n=40)
+        flat = Dataset(np.full(40, 0.1), data.design)
+        spec = ConstraintSpec(variant, *((0.5, 1.0) if variant == "conc" else ()))
+        init = ModelParams(np.full(2, 0.5), np.zeros((2, 2)), np.ones(2))
+        message = r"^responses have no spread \(max == min\)$"
+        with pytest.raises(NumericalError, match=message):
+            multi_start_fit(flat, 2, spec, EmConfig(), 3, seed=0)
+        with pytest.raises(NumericalError, match=message):
+            run_em(flat, 2, spec, EmConfig(), init)
 
     def test_deterministic(self):
         data, _, _ = make_two_line_data(seed=24, n=60)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,12 @@ class TestLoadCsv:
         p = self._write(tmp_path, "")
         with pytest.raises(CsvFormatError, match="empty"):
             load_csv(p, CsvSchema(response_column=0, has_header=False))
+
+    def test_not_utf8_names_file(self, tmp_path):
+        p = tmp_path / "utf16.csv"
+        p.write_bytes(b"\xff\xfex,y\n1,2\n")
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(str(p))}: not valid UTF-8"):
+            load_csv(p, CsvSchema(response_column="y", regressor_columns=("x",)))
 
     def test_blank_lines_skipped(self, tmp_path):
         p = self._write(tmp_path, "x,y\n\n1,2\n\n")

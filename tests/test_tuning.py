@@ -26,6 +26,7 @@ from clustreg import (
     select_c,
 )
 from clustreg import em, io, tuning
+from clustreg.simulate import ScenarioSpec, draw_scenario
 from conftest import make_two_line_data
 
 
@@ -316,6 +317,12 @@ def oracle_rows(data, G, report, cv, em_config):
     return rows
 
 
+def criterion_6_cell():
+    """One replication of the criterion-6 cell: n=100, G=2, equal mixing."""
+    spec = ScenarioSpec(n=100, G=2, mixing=(0.5, 0.5), intercepts=(4.0, 9.0))
+    return draw_scenario(spec, np.random.default_rng(2))[0]
+
+
 class TestMergedGrid:
     """select_c trains every split x feasible c in one kernel batch."""
 
@@ -337,6 +344,41 @@ class TestMergedGrid:
         assert any(r.cv_loglik == -math.inf for r in want)
         if name == "temperature":
             assert sum(r.n_fallback for r in want) > 0
+
+    def test_rows_equal_oracle_on_study_cell(self, monkeypatch):
+        # The criterion-6 cell: most shadows never fork, so most rows are
+        # their split's leader outcome handed on.  Also with 4 lanes, where
+        # forks wait for a lane.
+        data = criterion_6_cell()
+        cv, em_config = CvConfig(seed=3), EmConfig()
+        report = select_c(data, 2, cv, em_config, 10)
+        want = oracle_rows(data, 2, report, cv, em_config)
+        assert list(report.rows) == want
+        assert sum(math.isfinite(r.cv_loglik) for r in want) >= 10
+        monkeypatch.setattr(em, "_LANE_BUDGET", 2 * 90 * 4)
+        assert list(select_c(data, 2, cv, em_config, 10).rows) == want
+
+    def test_shadows_take_no_lane_until_they_fork(self, monkeypatch):
+        # Member rows through the variance update: the shared grid runs a
+        # split's larger c only from the iteration its clamp first binds.
+        data = criterion_6_cell()
+        cv, em_config = CvConfig(seed=3), EmConfig()
+        report = select_c(data, 2, cv, em_config, 10)
+        rows, forked = [], []
+        real = em._update_variances
+
+        def counting(ss, totals, n, variant, roots, shadows=None):
+            rows.append(ss.shape[0])
+            forked.append((roots > roots.min()).any())
+            return real(ss, totals, n, variant, roots, shadows)
+
+        monkeypatch.setattr(em, "_update_variances", counting)
+        feasible = [r.c for r in report.rows if math.isfinite(r.cv_loglik)]
+        tuning._cv_grid(data, 2, feasible, report.warm_start, report.target_variance, cv, em_config)
+        shared, rows[:] = sum(rows), []
+        assert any(forked)      # some shadows do fork in this cell
+        oracle_rows(data, 2, report, cv, em_config)
+        assert 2 * shared < sum(rows)
 
     def test_underflowing_test_set_scores_minus_inf_with_warning(self):
         rng = np.random.default_rng(5)
@@ -382,16 +424,77 @@ class TestInvariantFailure:
         monkeypatch.setattr(em, "_LANE_BUDGET", 2 * 36 * 2)
         seen = {}
 
-        def recording_kernel(samples, G, variant, config, members):
+        def recording_kernel(samples, G, variant, config, members, **kwargs):
             members = list(members)
-            outcomes = em._em_lanes(samples, G, variant, config, members)
+            outcomes = em._em_lanes(samples, G, variant, config, members, **kwargs)
             seen.update(members=members, outcomes=outcomes)
             return outcomes
 
         monkeypatch.setattr(tuning, "_em_lanes", recording_kernel)
         with pytest.raises(InvalidParameterError) as info:
             tuning._cv_grid(tiny, 2, list(cv.c_grid), warm, target, cv, EmConfig())
-        assert len(seen["outcomes"]) < len(seen["members"])
+        # one outcome per c and split taken: the kernel stopped taking splits
+        assert len(seen["outcomes"]) < len(cv.c_grid) * len(seen["members"])
         assert info.value is seen["outcomes"][0]
         slot, _, c = seen["members"][0]
         assert (slot, c) == (0, cv.c_grid[0])
+
+    def test_pending_forks_still_run_after_the_first_failure(self, monkeypatch):
+        # A fork whose clamp binds while the pooled variance is below 0.9 x
+        # the target gets NaN variances, in the kernel and the oracle alike.
+        # With two lanes the first failure comes at a larger c than the
+        # oracle's error, while forks of larger c still wait for a lane and
+        # the splits that hold the oracle's error are not yet taken.
+        data, _, _ = make_two_line_data(seed=5, n=60, noise=(0.2, 1.0))
+        G, config = 2, EmConfig()
+        target = tuning._estimate_target(data, G, 1, config, 3)
+        spec = ConstraintSpec.constrained(1e-3, target)
+        warm = multi_start_fit(data, G, spec, config, 3, seed=2).params
+        grid = [c for c in default_c_grid() if em._feasible(warm, c)]
+        cv = CvConfig(n_repeats=6, c_grid=grid, seed=1)
+        roots, broken = np.sqrt(grid), []
+        real = em._update_variances
+
+        def breaking(ss, totals, n, variant, lane_roots, shadows=None):
+            variances, binds = real(ss, totals, n, variant, lane_roots, shadows)
+            bad = ((variances != ss / totals).any(axis=1) & (lane_roots > roots[0])
+                   & (ss.sum(axis=1) / n < 0.9 * target))
+            if bad.any():
+                broken.append(lane_roots[bad].min())
+            return np.where(bad[:, None], np.nan, variances), binds
+
+        monkeypatch.setattr(em, "_update_variances", breaking)
+        streams = np.random.SeedSequence(cv.seed).spawn(6)
+        splits = [make_split(data.n, cv.test_fraction, np.random.default_rng(s)) for s in streams]
+
+        def oracle():
+            for j, c in enumerate(grid):
+                for k, (train, _) in enumerate(splits):
+                    try:
+                        run_em(data.subset(train), G, replace(spec, c=c), config, warm)
+                    except InvalidParameterError as exc:
+                        return j, k, str(exc)
+                    except SingularComponentError:
+                        pass
+
+        j, k, message = oracle()
+        broken.clear()
+        monkeypatch.setattr(em, "_LANE_BUDGET", G * 54 * 2)
+        seen, failures_before = {}, []
+
+        def recording_kernel(samples, G, variant, config, members, **kwargs):
+            def source():
+                for member in members:
+                    failures_before.append(len(broken))
+                    yield member
+
+            seen["outcomes"] = em._em_lanes(samples, G, variant, config, source(), **kwargs)
+            return seen["outcomes"]
+
+        monkeypatch.setattr(tuning, "_em_lanes", recording_kernel)
+        with pytest.raises(InvalidParameterError) as info:
+            tuning._cv_grid(data, G, grid, warm, target, cv, config)
+        assert str(info.value) == message
+        assert info.value is seen["outcomes"][j * len(splits) + k]
+        assert broken[0] > roots[j]          # the first failure is not the one raised
+        assert failures_before[k] > 0        # its split was taken after that failure
