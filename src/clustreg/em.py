@@ -14,30 +14,29 @@ stored in a ConstraintSpec seeds the starting values and the feasibility check
 of the initial guess.
 
 There is one EM loop, the private lane kernel ``_em_lanes``.  It advances a
-batch of members -- the starts of a pool, or every split x feasible c of a
-CV grid -- together: weights, coefficients, variances and posteriors carry a
-leading member axis, so one iteration is a few NumPy calls whatever the
-batch size.  Members may run on different samples of one size (the training
-sets of a CV grid); each carries the slot of its sample, and a batch whose
-members share one sample broadcasts it instead.  The batch holds at most
-``2**14 // (G*n)`` members (a fixed budget of posterior elements, read off
-the input).  A member leaves as soon as it converges, hits the iteration
-cap, degenerates, has a step rejected or fails a check, and its lane is
-refilled with a waiting fork (below) or the next member; a start is
-initialised only then, in start order, on its own seed stream.  A member
-leaves as raw arrays (parameters, log-likelihood, trace and flags), and only
-a caller that returns a FitResult builds one, recomputing its posteriors
-then.  Every per-member operation is the same floating-point arithmetic as
-a run on its own, so a member's result does not depend on which others share
-its batch.  ``run_em`` is the one-member call.
+batch of runs -- the starts of a pool, or every split x feasible c of a CV
+grid -- together: parameters and posteriors carry a leading run axis, so one
+iteration is a few NumPy calls whatever the batch size.  Runs may use
+different samples of one size (the training sets of a CV grid); each carries
+its sample's slot, and a batch on one sample broadcasts it.  The batch holds
+at most ``2**14 // (G*n)`` runs (a fixed budget of posterior elements).  A
+run leaves as soon as it converges, hits the iteration cap, degenerates, has
+a step rejected or fails a check; its lane takes a waiting fork (below) or
+the next member, a start being initialised only then, in start order, on its
+own seed stream.  Every run enters one way, from its parameters through a
+batched E-step, and every member runs to its end; the outcomes come back in
+(c, member) order as raw arrays, which only a caller returning a FitResult
+turns into one, recomputing the posteriors.  Each per-run operation is the
+same floating-point arithmetic as a run on its own, so a result does not
+depend on its batch.  ``run_em`` is the one-member call.
 
 Members that differ only in a larger c share a lane: until its clamp first
 binds, such a member repeats bit for bit the steps at the smallest c, since
 no other step depends on c.  So the smallest c runs as the leader and carries
 the larger ones as shadows.  Shadows whose bounds bind in an M-step (a suffix,
-the bounds being nested) fork: each becomes a run of its own from the
-leader's state at the start of that iteration, waits for a lane ahead of new
-members and re-runs that M-step.  A leader's outcome is its shadows' outcome.
+the bounds being nested) fork: each waits as the leader's state at the start
+of that iteration, posteriors left out, enters ahead of new members and
+re-runs that M-step.  A leader's outcome is its shadows' outcome.
 """
 
 from __future__ import annotations
@@ -139,8 +138,8 @@ class ConstraintSpec:
         if variant is Variant.CONC:
             if self.c is None or not (0.0 < self.c <= 1.0):
                 raise ValueError("conc requires c in (0, 1]")
-            if self.target_variance is None or self.target_variance <= 0:
-                raise ValueError("conc requires a positive target variance")
+            if self.target_variance is None or not 0.0 < self.target_variance < math.inf:
+                raise ValueError("conc requires a positive finite target variance")
         else:
             if self.c is not None or self.target_variance is not None:
                 raise ValueError(f"{variant.value} takes no c or target variance")
@@ -170,7 +169,8 @@ class ConstraintSpec:
 class EmConfig:
     """EM stopping rule and degeneracy guard.
 
-    ``variance_floor`` of None resolves at run time to 1e-10 times the sample
+    A run of any variant stops flagged degenerate when a variance falls below
+    ``variance_floor``; None resolves at run time to 1e-10 times the sample
     variance of the responses.
     """
 
@@ -179,11 +179,11 @@ class EmConfig:
     variance_floor: float = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.variance_floor is not None and self.variance_floor <= 0:
+        if self.variance_floor is not None and not self.variance_floor > 0:
             raise ValueError("variance_floor must be positive")
 
     def resolve_floor(self, data: Dataset) -> float:
@@ -411,12 +411,13 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
     being the constant of a constrained member; an exception in place of
     ``init`` is that member's outcome.  Each of the ascending ``shadows``,
     all above every c, adds a shadow member at that constant to each member.
-    Returns an outcome (a _Run, the SingularComponentError that stopped the
-    run, or the NumericalError of a failed check) per member taken, ordered by
-    key (rank, index), rank r > 0 being the r-th shadow.  A member keyed after
-    an invariant failure is not admitted (its outcome is None, or missing
-    from the end); every member keyed before it runs to its end.
+    Every member and shadow runs to its end.  Returns their outcomes (a _Run,
+    the SingularComponentError that stopped the run, or the NumericalError
+    of a failed check) ordered by rank, then member, rank r > 0 being the
+    r-th shadow.
     """
+    if G < 1:
+        raise ValueError("G must be >= 1")
     n = samples[0].n
     # (S, n, J) designs, (S, J, n) transposes and (S, 1, n) responses.  Both
     # design layouts are kept because BLAS rounds them differently.  With one
@@ -439,29 +440,27 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
     lanes = max(1, _LANE_BUDGET // (G * n))
     roots, m = np.sqrt(shadows), len(shadows)
     source = iter(members)
-    outcomes, traces, history = {}, {}, {}
-    keys = []         # (rank, member index) of each run, by run id
-    forks = {}        # (lane row, trace, history) of each fork waiting for a lane, by key
+    # A run's key is (m + 1) * member index + rank, so a run carrying q
+    # shadows stands for keys key..key+q.  By key: outcomes, the (trace,
+    # history) of each run in a lane, and the entry of each waiting fork.
+    outcomes, logs, forks = {}, {}, {}
     taken = 0         # members taken from the source
-    stop = (math.inf,)    # key of the earliest invariant failure
-    # Lane state, one row per active run: id, slot (its sample), w/b/v
+    # Lane state, one row per run in logs: key, slot (its sample), w/b/v
     # (weights, coefficients, variances), p (posteriors), ll (log-likelihood),
     # it (iterations), root (sqrt c) and q (shadows carried: ranks 1..q).
     lane = None
-    open_ = True      # members left to admit
 
     def leave(a, outcome=None, converged=False, degenerate=False):
-        k = int(lane["id"][a])
-        trace, hist = traces.pop(k), history.pop(k, None)
+        k = int(lane["key"][a])
+        trace, hist = logs.pop(k)
         if outcome is None:
             # copies, so an outcome does not hold the whole batch's arrays
             outcome = _Run(
                 lane["w"][a].copy(), lane["b"][a].copy(), lane["v"][a].copy(),
-                float(lane["ll"][a]), trace, bool(converged), bool(degenerate), int(lane["it"][a]),
-                tuple(hist) if hist is not None else (),
+                float(lane["ll"][a]), trace, bool(converged), bool(degenerate),
+                int(lane["it"][a]), tuple(hist),
             )
-        rank, index = keys[k]
-        outcomes.update(((r, index), outcome) for r in range(rank, rank + int(lane["q"][a]) + 1))
+        outcomes.update(dict.fromkeys(range(k, k + int(lane["q"][a]) + 1), outcome))
 
     def keep(mask, *arrays):
         nonlocal lane
@@ -469,51 +468,38 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
         return [arr[mask] for arr in arrays]
 
     while True:
-        # refill: waiting forks in key order first, so few wait, then new members
-        fresh, resumed = [], []
-        room = lanes - (0 if lane is None else lane["id"].size)
-        while len(fresh) + len(resumed) < room:
-            open_ = open_ and (0, taken) < stop
-            first = min(forks, default=stop)
-            if first < stop:
-                row, trace, hist = forks.pop(first)
-                keys.append(first)
-                traces[len(keys) - 1], history[len(keys) - 1] = list(trace), list(hist)
-                resumed.append(dict(row, id=len(keys) - 1, root=roots[first[0] - 1], q=0))
+        # refill: waiting forks first, in key order, then new members.  Both
+        # enter as (key, slot, parameters, iterations, trace, history, c, q)
+        # through the first E-step, which gives a fork back bit for bit the
+        # posteriors and log-likelihood it left with.
+        entering = []
+        while len(entering) < lanes - len(logs):
+            if forks:
+                entering.append(forks.pop(min(forks)))
                 continue
-            item = next(source, None) if open_ else None
+            item = next(source, None)
             if item is None:
-                open_ = False
                 break
-            slot, init, c = item
+            (slot, init, c), key = item, (m + 1) * taken
             taken += 1
             if isinstance(init, Exception):
-                outcomes.update({(r, taken - 1): init for r in range(m + 1)})
+                outcomes.update(dict.fromkeys(range(key, key + m + 1), init))
                 continue
             _check_init(G, variant, shadows[-1] if m else c, init)
-            keys.append((0, taken - 1))
-            fresh.append((len(keys) - 1, slot, init, 1.0 if c is None else c))
-        parts = [] if lane is None else [lane]
-        if fresh:
-            ids, slots, inits, cs = zip(*fresh)
-            slots = np.array(slots)
-            W, B, V = (np.array([getattr(p, f) for p in inits])
-                       for f in ("weights", "coefficients", "variances"))
-            ll, P, _ = _e_step_arrays(residuals(slots, B), W, V)
-            parts.append(dict(id=np.array(ids), slot=slots, w=W, b=B, v=V, p=P, ll=ll,
-                              it=np.zeros(len(ids), dtype=np.intp), root=np.sqrt(cs),
-                              q=np.full(len(ids), m)))
-            for k, init, v in zip(ids, inits, ll.tolist()):
-                traces[k] = [v]
-                if keep_history:
-                    history[k] = [init]
-        if resumed:
-            parts.append({key: np.array([row[key] for row in resumed]) for key in resumed[0]})
-        if fresh or resumed:
-            lane = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-        del parts, resumed    # so the rows joined into the lanes are freed
-        if lane is None or lane["id"].size == 0:
-            return [outcomes.get((r, k)) for r in range(m + 1) for k in range(taken)]
+            entering.append((key, slot, (init.weights, init.coefficients, init.variances), 0,
+                             [], [init] if keep_history else [], 1.0 if c is None else c, m))
+        if entering:
+            ks, slots, params, its, traces, hists, cs, qs = zip(*entering)
+            W, B, V = (np.array(p) for p in zip(*params))
+            ll, P, _ = _e_step_arrays(residuals(np.array(slots), B), W, V)
+            for k, trace, hist, v in zip(ks, traces, hists, ll.tolist()):
+                trace.append(v)
+                logs[k] = trace, hist
+            new = dict(key=np.array(ks), slot=np.array(slots), w=W, b=B, v=V, p=P, ll=ll,
+                       it=np.array(its, dtype=np.intp), root=np.sqrt(cs), q=np.array(qs))
+            lane = {f: np.concatenate([lane[f], new[f]]) for f in new} if lane else new
+        if not logs:
+            return [outcomes[(m + 1) * i + r] for r in range(m + 1) for i in range(taken)]
 
         # M-step; a member with a singular component leaves
         totals = lane["p"].sum(axis=-1)
@@ -521,44 +507,42 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
         betas, failures = _solve_betas(
             rows(Xt, lane["slot"]), rows(Y, lane["slot"]), lane["p"], totals)
         if failures:
-            ok = np.ones(lane["id"].size, dtype=bool)
+            ok = np.ones(lane["key"].size, dtype=bool)
             for a, exc in failures:
                 leave(a, exc)
                 ok[a] = False
             totals, weights, betas = keep(ok, totals, weights, betas)
-            if lane["id"].size == 0:
-                continue
         resid = residuals(lane["slot"], betas)
         ss = _weighted_ss(lane["p"], resid)
         live = m and lane["q"].any()
         variances, binds = _update_variances(
             ss, totals, n, variant, lane["root"], roots if live else None)
         if live:
-            # binding shadows fork, to re-run this M-step from the leader's state
+            # binding shadows fork, to re-run this M-step from the state the
+            # leader started this iteration with
             binds &= np.arange(m) < lane["q"][:, None]
             for a in np.flatnonzero(binds.any(axis=1)):
-                k, first, q = int(lane["id"][a]), int(binds[a].argmax()), int(lane["q"][a])
-                state = ({key: arr[a].copy() for key, arr in lane.items()},
-                         traces[k][:], history.get(k, [])[:])
-                forks.update(((r, keys[k][1]), state) for r in range(first + 1, q + 1))
+                k, first = int(lane["key"][a]), int(binds[a].argmax())
+                trace, hist = logs[k]
+                slot, it = int(lane["slot"][a]), int(lane["it"][a])
+                params = lane["w"][a], lane["b"][a], lane["v"][a]
+                for r in range(first + 1, int(lane["q"][a]) + 1):
+                    forks[k + r] = (k + r, slot, params, it, trace[:-1], hist[:],
+                                    shadows[r - 1], 0)
                 lane["q"][a] = first
-        degenerate = np.zeros(lane["id"].size, dtype=bool)
-        if variant is Variant.HETN:
-            degenerate = variances.min(axis=-1) < floors[lane["slot"]]
-            if degenerate.any():
-                floored = np.maximum(variances, np.finfo(float).tiny)
-                variances = np.where(degenerate[:, None], floored, variances)
+        # a member with a variance below its sample's floor leaves degenerate
+        degenerate = variances.min(axis=-1) < floors[lane["slot"]]
+        if degenerate.any():
+            floored = np.maximum(variances, np.finfo(float).tiny)
+            variances = np.where(degenerate[:, None], floored, variances)
 
         # invariant check; a member that fails it leaves before its E-step
         faults = _check_params(weights, betas, variances)
         if (faults >= 0).any():
             for a in np.flatnonzero(faults >= 0):
-                stop = min(stop, keys[int(lane["id"][a])])
                 leave(a, NumericalError(_PARAM_FAULTS[faults[a]]))
             weights, betas, variances, resid, degenerate = keep(
                 faults < 0, weights, betas, variances, resid, degenerate)
-            if lane["id"].size == 0:
-                continue
         lane["it"] += 1
 
         # E-step, then reject or accept the step.  The moving clamp target
@@ -573,11 +557,11 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
             converged = np.isfinite(ll) & (abs(ll - old) <= config.tolerance * (1.0 + abs(ll)))
         capped = lane["it"] >= config.max_iterations
         lane.update(w=weights, b=betas, v=variances, p=P, ll=ll)
-        for a, (k, v, r) in enumerate(zip(lane["id"].tolist(), ll.tolist(), rejected.tolist())):
-            if not r:
-                traces[k].append(v)
+        for a, (k, v) in enumerate(zip(lane["key"].tolist(), ll.tolist())):
+            if k in logs:         # a rejected run has left
+                logs[k][0].append(v)
                 if keep_history:
-                    history[k].append(ModelParams(weights[a], betas[a], variances[a]))
+                    logs[k][1].append(ModelParams(weights[a], betas[a], variances[a]))
         done = ~rejected & (degenerate | capped | converged)
         for a in np.flatnonzero(done):
             leave(a, converged=converged[a] and not capped[a] and not degenerate[a],
@@ -598,8 +582,8 @@ def run_em(
 
     Stops when the relative log-likelihood improvement drops below
     ``config.tolerance``, when ``config.max_iterations`` M-steps have run, or
-    (heteroscedastic only) when a variance falls below the floor, in which
-    case the fit is flagged degenerate.
+    when a variance falls below the floor, in which case the fit is flagged
+    degenerate.
     """
     (outcome,) = _em_lanes([data], G, spec.variant, config, [(0, init, spec.c)], keep_history)
     if isinstance(outcome, Exception):

@@ -68,14 +68,14 @@ class ScenarioSpec:
         intercepts = tuple(float(b) for b in self.intercepts)
         if len(mixing) != self.G or len(intercepts) != self.G:
             raise ValueError("mixing and intercepts must have length G")
-        if abs(sum(mixing) - 1.0) > 1e-12 or any(p <= 0 for p in mixing):
+        if not abs(sum(mixing) - 1.0) <= 1e-12 or not all(p > 0 for p in mixing):
             raise ValueError("mixing must be a positive simplex vector")
-        if self.n < self.G * (self.n_regressors + 2):
+        if not self.n >= self.G * (self.n_regressors + 2):
             raise ValueError("sample size too small for the scenario")
-        if self.variance_shape <= 1.0:
-            raise ValueError("variance_shape must exceed 1 for a finite mean")
-        if self.coef_high <= self.coef_low:
-            raise ValueError("empty coefficient range")
+        if not 1.0 < self.variance_shape < np.inf:
+            raise ValueError("variance_shape must be finite and exceed 1 (finite mean)")
+        if not -np.inf < self.coef_low < self.coef_high < np.inf:
+            raise ValueError("coefficient range must be finite and non-empty")
         name = self.name or f"n{self.n}_G{self.G}_p" + "-".join(f"{p:g}" for p in mixing)
         object.__setattr__(self, "mixing", mixing)
         object.__setattr__(self, "intercepts", intercepts)
@@ -93,7 +93,7 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.replications < 1:
+        if not self.replications >= 1:
             raise ValueError("replications must be >= 1")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(

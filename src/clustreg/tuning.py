@@ -70,7 +70,7 @@ class CvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_repeats is not None and self.n_repeats < 1:
+        if self.n_repeats is not None and not self.n_repeats >= 1:
             raise ValueError("n_repeats must be >= 1")
         if not (0.0 < self.test_fraction < 1.0):
             raise ValueError("test_fraction must be in (0, 1)")
@@ -133,8 +133,8 @@ def _cv_grid(data, G, cs, warm_start, target, cv, em) -> list[tuple[float, int]]
     A training fit that fails hard is scored with the warm-start model
     instead and counts as a fallback.  If training fits fail the parameter
     invariant check, the error raised is that of the lowest such c and, for
-    that c, the earliest split: the kernel keys its members so, and after a
-    failure still runs every member and fork keyed before it.
+    that c, the earliest split: the kernel runs every fit to its end and
+    returns them in (c, split) order.
     """
     for c in cs:
         ConstraintSpec.constrained(c, target)     # validates c and the target

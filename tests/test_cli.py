@@ -51,6 +51,20 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
 
+    @pytest.mark.parametrize("args, message", [
+        (["fit", "--variant", "hetn", "--components", "0"], "G must be >= 1"),
+        (["tune", "--components", "0"], "G must be >= 1"),
+        (["fit", "--variant", "hetn", "--components", "2", "--tol", "nan"],
+         "tolerance must be positive"),
+    ], ids=["fit-G0", "tune-G0", "tol-nan"])
+    def test_bad_em_arguments(self, data_csv, tmp_path, capsys, args, message):
+        out = tmp_path / "o.json"
+        code = run([*args, "--input", str(data_csv), "--response", "y", "--regressors", "x",
+                    "--starts", "3", "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_conc_without_c(self, data_csv, tmp_path):
         code = run([
             "fit", "--input", str(data_csv), "--response", "y",
@@ -239,6 +253,25 @@ class TestNumericalFailure:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err == "error: numerical failure: variances must be strictly positive\n"
+
+
+class TestDegenerate:
+    @pytest.mark.parametrize("variant", [
+        ["fit", "--variant", "hetn"],
+        ["fit", "--variant", "homn"],
+        ["fit", "--variant", "conc", "--c", "0.5"],
+        ["tune"],
+    ], ids=["hetn", "homn", "conc", "tune"])
+    def test_exact_linear_response(self, tmp_path, capsys, variant):
+        # a noise-free line: every variant's variances collapse to ~1e-34
+        path = TestNumericalFailure.csv(tmp_path, lambda d: 0.1 + 0.3 * d.design[:, 1])
+        out = tmp_path / "fit.json"
+        code = run([*variant, "--input", str(path), "--response", "y", "--regressors", "x",
+                    "--components", "2", "--starts", "3", "--output", str(out)])
+        assert code == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert err == "warn: best fit is degenerate (a component variance collapsed)\n"
+        assert json.loads(out.read_text())["converged"] is False
 
 
 class TestTune:

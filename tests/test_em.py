@@ -267,14 +267,29 @@ class TestConstraintSpec:
         assert spec.lower / spec.upper == pytest.approx(0.3, rel=1e-12)
 
     def test_rejects_out_of_range_c(self):
-        with pytest.raises(ValueError):
-            ConstraintSpec.constrained(0.0, 1.0)
-        with pytest.raises(ValueError):
-            ConstraintSpec.constrained(1.5, 1.0)
+        for c in (0.0, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ConstraintSpec.constrained(c, 1.0)
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_target_not_positive_and_finite(self, target):
+        with pytest.raises(ValueError, match="positive finite target"):
+            ConstraintSpec.constrained(0.5, target)
 
     def test_unconstrained_variants_take_no_c(self):
         with pytest.raises(ValueError):
             ConstraintSpec(Variant.HETN, c=0.5)
+
+
+class TestEmConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 0), ("max_iterations", math.nan),
+        ("tolerance", 0.0), ("tolerance", -1e-8), ("tolerance", math.nan),
+        ("variance_floor", 0.0), ("variance_floor", math.nan),
+    ])
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            EmConfig(**{field: value})
 
 
 class TestInitialize:
@@ -533,6 +548,29 @@ class TestMultiStart:
             multi_start_fit(flat, 2, spec, EmConfig(), 3, seed=0)
         with pytest.raises(NumericalError, match=message):
             run_em(flat, 2, spec, EmConfig(), init)
+
+    @pytest.mark.parametrize("variant", ["hetn", "homn", "conc"])
+    def test_exact_linear_response_is_degenerate(self, variant):
+        # every observation lies on one line, so a component's variance
+        # collapses to rounding noise (~1e-34) under every variant
+        data, _, _ = make_two_line_data(seed=26, n=40)
+        line = Dataset(0.1 + 0.3 * data.design[:, 1], data.design)
+        spec = ConstraintSpec(variant, *((0.5, 1.0) if variant == "conc" else ()))
+        fit = multi_start_fit(line, 2, spec, EmConfig(), 3, seed=0)
+        assert fit.degenerate and not fit.converged
+        init = ModelParams(np.full(2, 0.5), np.array([[0.0, 0.3], [0.2, 0.3]]), np.ones(2))
+        fit = run_em(line, 2, spec, EmConfig(), init)
+        assert fit.degenerate and not fit.converged
+
+    def test_no_components_is_a_value_error(self):
+        data, _, _ = make_two_line_data(seed=24, n=60)
+        spec = ConstraintSpec.heteroscedastic()
+        init = ModelParams(np.full(2, 0.5), np.zeros((2, 2)), np.ones(2))
+        for G in (0, -1):
+            with pytest.raises(ValueError, match="^G must be >= 1$"):
+                multi_start_fit(data, G, spec, EmConfig(), 3, seed=0)
+            with pytest.raises(ValueError, match="^G must be >= 1$"):
+                run_em(data, G, spec, EmConfig(), init)
 
     def test_deterministic(self):
         data, _, _ = make_two_line_data(seed=24, n=60)

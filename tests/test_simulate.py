@@ -30,6 +30,15 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(n=100, G=2, mixing=(0.5, 0.5), intercepts=(0.0, 5.0),
                          variance_shape=1.0)
+        for field, value in [
+            ("mixing", (0.5, math.nan)), ("mixing", (math.inf, 0.5)),
+            ("variance_shape", math.nan), ("variance_shape", math.inf),
+            ("coef_low", 1.5), ("coef_low", math.nan), ("coef_low", -math.inf),
+            ("coef_high", math.nan), ("coef_high", math.inf),
+        ]:
+            base = dict(n=100, G=2, mixing=(0.5, 0.5), intercepts=(0.0, 5.0))
+            with pytest.raises(ValueError):
+                ScenarioSpec(**{**base, field: value})
 
     def test_auto_name(self):
         spec = ScenarioSpec(n=100, G=2, mixing=(0.2, 0.8), intercepts=(0.0, 5.0))

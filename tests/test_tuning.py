@@ -64,12 +64,19 @@ class TestCvConfig:
             CvConfig(c_grid=(0.0, 1.0))
         with pytest.raises(ValueError):
             CvConfig(c_grid=())
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                CvConfig(c_grid=(0.5, bad))
 
     def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            CvConfig(test_fraction=0.0)
-        with pytest.raises(ValueError):
-            CvConfig(test_fraction=1.0)
+        for bad in (0.0, 1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                CvConfig(test_fraction=bad)
+
+    def test_rejects_bad_repeats(self):
+        for bad in (0, math.nan):
+            with pytest.raises(ValueError):
+                CvConfig(n_repeats=bad)
 
 
 class TestMakeSplit:
@@ -207,6 +214,11 @@ class TestSelectC:
         assert len(scores) == 1
         assert report.selected_c == 1.0
 
+    def test_no_components_is_a_value_error(self):
+        data, _, _ = make_two_line_data(seed=33, n=60)
+        with pytest.raises(ValueError, match="^G must be >= 1$"):
+            select_c(data, 0, CvConfig(n_repeats=2, seed=5), EmConfig(), 3)
+
     def test_report_rejects_non_maximal_selection(self):
         rows = (CvRow(0.1, -5.0, 0), CvRow(1.0, -3.0, 0))
         with pytest.raises(ValueError):
@@ -332,6 +344,8 @@ class TestMergedGrid:
         # 4 lanes on temperature's 51-row training sets: lanes refill across
         # split and c boundaries
         ("temperature", 5, 5 * 51 * 4),
+        # one lane: every fork waits and re-enters through the member path
+        ("temperature", 5, 5 * 51 * 1),
     ])
     def test_rows_equal_per_split_oracle(self, monkeypatch, name, G, lane_budget):
         if lane_budget is not None:
@@ -348,15 +362,16 @@ class TestMergedGrid:
     def test_rows_equal_oracle_on_study_cell(self, monkeypatch):
         # The criterion-6 cell: most shadows never fork, so most rows are
         # their split's leader outcome handed on.  Also with 4 lanes, where
-        # forks wait for a lane.
+        # forks wait for a lane, and with one lane, where every fork does.
         data = criterion_6_cell()
         cv, em_config = CvConfig(seed=3), EmConfig()
         report = select_c(data, 2, cv, em_config, 10)
         want = oracle_rows(data, 2, report, cv, em_config)
         assert list(report.rows) == want
         assert sum(math.isfinite(r.cv_loglik) for r in want) >= 10
-        monkeypatch.setattr(em, "_LANE_BUDGET", 2 * 90 * 4)
-        assert list(select_c(data, 2, cv, em_config, 10).rows) == want
+        for lanes in (4, 1):
+            monkeypatch.setattr(em, "_LANE_BUDGET", 2 * 90 * lanes)
+            assert list(select_c(data, 2, cv, em_config, 10).rows) == want
 
     def test_shadows_take_no_lane_until_they_fork(self, monkeypatch):
         # Member rows through the variance update: the shared grid runs a
@@ -417,8 +432,8 @@ class TestInvariantFailure:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_error_of_lowest_c_then_earliest_split(self, monkeypatch):
-        # Two lanes: the first failure stops admission after two members, yet
-        # the error raised is the one of the lowest c on the earliest split.
+        # Two lanes: the splits run in turns, yet the error raised is the one
+        # of the lowest c on the earliest split.
         tiny, warm, target = self.tiny_problem()
         cv = CvConfig(n_repeats=3, c_grid=(0.1, 0.5, 1.0), seed=2)
         monkeypatch.setattr(em, "_LANE_BUDGET", 2 * 36 * 2)
@@ -433,8 +448,6 @@ class TestInvariantFailure:
         monkeypatch.setattr(tuning, "_em_lanes", recording_kernel)
         with pytest.raises(InvalidParameterError) as info:
             tuning._cv_grid(tiny, 2, list(cv.c_grid), warm, target, cv, EmConfig())
-        # one outcome per c and split taken: the kernel stopped taking splits
-        assert len(seen["outcomes"]) < len(cv.c_grid) * len(seen["members"])
         assert info.value is seen["outcomes"][0]
         slot, _, c = seen["members"][0]
         assert (slot, c) == (0, cv.c_grid[0])
