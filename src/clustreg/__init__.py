@@ -16,8 +16,8 @@ from .em import (
     ConstraintSpec,
     EmConfig,
     FitResult,
+    STOP_REASONS,
     SingularComponentError,
-    EmptyComponentError,
     NumericalError,
     MultiStartError,
     m_step_weights,

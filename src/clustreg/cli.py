@@ -17,7 +17,6 @@ from .model import Dataset
 from .em import (
     ConstraintSpec,
     EmConfig,
-    EmptyComponentError,
     MultiStartError,
     NumericalError,
     SingularComponentError,
@@ -245,7 +244,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _err(f"usage: {exc}")
         return EXIT_USAGE
-    except (NumericalError, SingularComponentError, EmptyComponentError, MultiStartError) as exc:
+    except (NumericalError, SingularComponentError, MultiStartError) as exc:
         _err(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
     except (OSError, ValueError) as exc:

@@ -20,15 +20,19 @@ iteration is a few NumPy calls whatever the batch size.  Runs may use
 different samples of one size (the training sets of a CV grid); each carries
 its sample's slot, and a batch on one sample broadcasts it.  The batch holds
 at most ``2**14 // (G*n)`` runs (a fixed budget of posterior elements).  A
-run leaves as soon as it converges, hits the iteration cap, degenerates, has
-a step rejected or fails a check; its lane takes a waiting fork (below) or
-the next member, a start being initialised only then, in start order, on its
-own seed stream.  Every run enters one way, from its parameters through a
-batched E-step, and every member runs to its end; the outcomes come back in
-(c, member) order as raw arrays, which only a caller returning a FitResult
-turns into one, recomputing the posteriors.  Each per-run operation is the
-same floating-point arithmetic as a run on its own, so a result does not
-depend on its batch.  ``run_em`` is the one-member call.
+run leaves when a check fails or an iteration gives it a stop reason, the
+first that holds of ``STOP_REASONS``: ``degenerate`` (a variance fell below
+the floor), ``rejected_step`` (the step lowered the log-likelihood; the run
+keeps the iterate it started from), ``tolerance`` (the log-likelihood moved
+by at most tolerance * (1 + |loglik|)) and ``max_iterations``.  Its lane
+takes a waiting fork (below) or the next member, a start being initialised
+only then, in start order, on its own seed stream.  Every run enters one
+way, from its parameters through a batched E-step, and every member runs to
+its end; the outcomes come back in (c, member) order as raw arrays, which
+only a caller returning a FitResult turns into one, recomputing the
+posteriors.  Each per-run operation is the same floating-point arithmetic as
+a run on its own, so a result does not depend on its batch.  ``run_em`` is
+the one-member call.
 
 Members that differ only in a larger c share a lane: until its clamp first
 binds, such a member repeats bit for bit the steps at the smallest c, since
@@ -68,8 +72,8 @@ __all__ = [
     "ConstraintSpec",
     "EmConfig",
     "FitResult",
+    "STOP_REASONS",
     "SingularComponentError",
-    "EmptyComponentError",
     "NumericalError",
     "MultiStartError",
     "m_step_weights",
@@ -87,6 +91,8 @@ _COND_LIMIT = 1e12
 # count is this budget over G*n, read off the input.
 _LANE_BUDGET = 2**14
 _INIT_ATTEMPTS = 20
+# Why an EM run stopped, in order of precedence when several hold at once.
+STOP_REASONS = ("degenerate", "rejected_step", "tolerance", "max_iterations")
 
 
 class Variant(str, Enum):
@@ -104,16 +110,6 @@ class SingularComponentError(RuntimeError):
         if reason:
             msg += f": {reason}"
         super().__init__(msg)
-
-
-class EmptyComponentError(RuntimeError):
-    """A component received (numerically) zero total responsibility."""
-
-    def __init__(self, component: int):
-        self.component = component
-        super().__init__(
-            f"component {component} has zero total responsibility; restart advised"
-        )
 
 
 class NumericalError(InvalidParameterError):
@@ -183,6 +179,8 @@ class EmConfig:
             raise ValueError("max_iterations must be >= 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if self.tolerance == math.inf:
+            raise ValueError("tolerance must be finite")
         if self.variance_floor is not None and not self.variance_floor > 0:
             raise ValueError("variance_floor must be positive")
 
@@ -194,15 +192,19 @@ class EmConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """An EM run's end state; ``converged``, ``degenerate`` and ``labels`` derive from it."""
+
     params: ModelParams
     loglik: float
     loglik_trace: np.ndarray
     responsibilities: Responsibilities
-    labels: np.ndarray
-    converged: bool
-    degenerate: bool
+    stop_reason: str            # one of STOP_REASONS
     iterations: int
     param_history: tuple = ()   # per-iteration ModelParams when requested
+
+    converged = property(lambda self: self.stop_reason == "tolerance")
+    degenerate = property(lambda self: self.stop_reason == "degenerate")
+    labels = property(lambda self: classify(self.responsibilities))
 
 
 class _Run(NamedTuple):
@@ -218,25 +220,14 @@ class _Run(NamedTuple):
     variances: np.ndarray
     loglik: float
     trace: list
-    converged: bool
-    degenerate: bool
+    stop_reason: str
     iterations: int
     history: tuple
 
     def fit(self, data: Dataset) -> FitResult:
         params = ModelParams(self.weights, self.coefficients, self.variances)
-        resp = posterior_probs(data, params)
-        return FitResult(
-            params=params,
-            loglik=self.loglik,
-            loglik_trace=np.array(self.trace),
-            responsibilities=resp,
-            labels=classify(resp),
-            converged=self.converged,
-            degenerate=self.degenerate,
-            iterations=self.iterations,
-            param_history=self.history,
-        )
+        return FitResult(params, self.loglik, np.array(self.trace), posterior_probs(data, params),
+                         self.stop_reason, self.iterations, self.history)
 
 
 def m_step_weights(resp: Responsibilities) -> np.ndarray:
@@ -307,7 +298,7 @@ def _weighted_ss(Z: np.ndarray, resid: np.ndarray) -> np.ndarray:
 
 def _require_mass(totals: np.ndarray) -> None:
     if totals.min() <= 0.0:
-        raise EmptyComponentError(int(np.flatnonzero(totals <= 0.0)[0]))
+        raise SingularComponentError(int((totals <= 0.0).argmax()), "zero total responsibility")
 
 
 def m_step_variances(data: Dataset, resp: Responsibilities, betas: np.ndarray) -> np.ndarray:
@@ -450,15 +441,14 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
     # it (iterations), root (sqrt c) and q (shadows carried: ranks 1..q).
     lane = None
 
-    def leave(a, outcome=None, converged=False, degenerate=False):
+    def leave(a, outcome):
         k = int(lane["key"][a])
         trace, hist = logs.pop(k)
-        if outcome is None:
+        if isinstance(outcome, str):
             # copies, so an outcome does not hold the whole batch's arrays
             outcome = _Run(
                 lane["w"][a].copy(), lane["b"][a].copy(), lane["v"][a].copy(),
-                float(lane["ll"][a]), trace, bool(converged), bool(degenerate),
-                int(lane["it"][a]), tuple(hist),
+                float(lane["ll"][a]), trace, outcome, int(lane["it"][a]), tuple(hist),
             )
         outcomes.update(dict.fromkeys(range(k, k + int(lane["q"][a]) + 1), outcome))
 
@@ -545,29 +535,29 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
                 faults < 0, weights, betas, variances, resid, degenerate)
         lane["it"] += 1
 
-        # E-step, then reject or accept the step.  The moving clamp target
-        # makes the constrained update an inexact maximization; a step that
-        # lowers the objective is rejected and ends the run.
+        # E-step, then each run's stop: the index in STOP_REASONS of the first
+        # reason that holds, len(STOP_REASONS) if none does.  The moving clamp
+        # target makes the constrained update an inexact maximization; a step
+        # that lowers the objective is rejected and ends the run before it.
         ll, P, _ = _e_step_arrays(resid, weights, variances)
         old = lane["ll"]
-        rejected = ~degenerate & (ll < old)
-        for a in np.flatnonzero(rejected):
-            leave(a, converged=True)
         with np.errstate(invalid="ignore"):
-            converged = np.isfinite(ll) & (abs(ll - old) <= config.tolerance * (1.0 + abs(ll)))
-        capped = lane["it"] >= config.max_iterations
+            met = np.isfinite(ll) & (abs(ll - old) <= config.tolerance * (1.0 + abs(ll)))
+        stop = np.array([degenerate, ll < old, met, lane["it"] >= config.max_iterations,
+                         np.ones_like(degenerate)]).argmax(axis=0)
+        rejected, ended = stop == STOP_REASONS.index("rejected_step"), stop < len(STOP_REASONS)
+        for a in np.flatnonzero(rejected):
+            leave(a, "rejected_step")
         lane.update(w=weights, b=betas, v=variances, p=P, ll=ll)
         for a, (k, v) in enumerate(zip(lane["key"].tolist(), ll.tolist())):
             if k in logs:         # a rejected run has left
                 logs[k][0].append(v)
                 if keep_history:
                     logs[k][1].append(ModelParams(weights[a], betas[a], variances[a]))
-        done = ~rejected & (degenerate | capped | converged)
-        for a in np.flatnonzero(done):
-            leave(a, converged=converged[a] and not capped[a] and not degenerate[a],
-                  degenerate=degenerate[a])
-        if (rejected | done).any():
-            keep(~(rejected | done))
+        for a in np.flatnonzero(ended & ~rejected):
+            leave(a, STOP_REASONS[stop[a]])
+        if ended.any():
+            keep(~ended)
 
 
 def run_em(
@@ -578,12 +568,9 @@ def run_em(
     init: ModelParams,
     keep_history: bool = False,
 ) -> FitResult:
-    """Iterate E and M steps from ``init`` until the stopping rule fires.
+    """Iterate E and M steps from ``init`` until one of ``STOP_REASONS`` holds.
 
-    Stops when the relative log-likelihood improvement drops below
-    ``config.tolerance``, when ``config.max_iterations`` M-steps have run, or
-    when a variance falls below the floor, in which case the fit is flagged
-    degenerate.
+    The fit's ``stop_reason`` names it; the module docstring says when each holds.
     """
     (outcome,) = _em_lanes([data], G, spec.variant, config, [(0, init, spec.c)], keep_history)
     if isinstance(outcome, Exception):
@@ -632,7 +619,8 @@ def multi_start_fit(
         raise MultiStartError(
             f"all {n_starts} starts failed: " + "; ".join(str(e) for e in outcomes)
         )
-    winner = min(runs, key=lambda i: (outcomes[i].degenerate, -outcomes[i].loglik, i))
+    winner = min(runs, key=lambda i: (outcomes[i].stop_reason == "degenerate",
+                                      -outcomes[i].loglik, i))
     if not return_all:
         return outcomes[winner].fit(data)
     # in place, so each start's raw arrays are freed as its FitResult is built

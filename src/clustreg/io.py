@@ -22,7 +22,7 @@ from io import StringIO
 import numpy as np
 
 from .model import Dataset, ModelParams, Responsibilities
-from .em import ConstraintSpec, EmConfig, FitResult
+from .em import STOP_REASONS, ConstraintSpec, EmConfig, FitResult
 from .tuning import CvConfig, CvReport
 from .simulate import STUDY_COLUMNS, ScenarioSpec, StudyConfig
 
@@ -279,6 +279,7 @@ def fit_document(fit: FitResult, spec: ConstraintSpec, cv: CvReport = None) -> d
         "labels": fit.labels.tolist(),
         "trace": fit.loglik_trace.tolist(),
         "responsibilities": fit.responsibilities.probs.tolist(),
+        "stop_reason": fit.stop_reason,
         "converged": fit.converged,
         "degenerate": fit.degenerate,
         "iterations": fit.iterations,
@@ -341,10 +342,10 @@ def read_json(path, build=dict):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _array(doc: dict, key: str, dtype=float) -> np.ndarray:
+def _array(doc: dict, key: str) -> np.ndarray:
     """Field ``key`` of ``doc`` as an array; a value that is not one is a ValueError naming it."""
     try:
-        return np.array(doc[key], dtype=dtype)
+        return np.array(doc[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field {key!r}: {exc}") from None
 
@@ -355,17 +356,18 @@ def params_from_document(doc: dict) -> ModelParams:
 
 
 def fit_from_document(doc: dict) -> FitResult:
-    """Rebuild a FitResult from a fit document."""
-    return FitResult(
+    """Rebuild a FitResult from a fit document (labels and flags derive from it)."""
+    fit = FitResult(
         params=params_from_document(doc),
         loglik=doc["loglik"],
         loglik_trace=_array(doc, "trace"),
         responsibilities=Responsibilities(_array(doc, "responsibilities")),
-        labels=_array(doc, "labels", int),
-        converged=doc["converged"],
-        degenerate=doc["degenerate"],
+        stop_reason=doc["stop_reason"],
         iterations=doc["iterations"],
     )
+    if fit.stop_reason not in STOP_REASONS:
+        raise ValueError(f"field 'stop_reason': {fit.stop_reason!r} is not in {STOP_REASONS}")
+    return fit
 
 
 def _from_dict(cls, d, what: str, fields=None, **values):

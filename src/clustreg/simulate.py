@@ -18,7 +18,6 @@ from .model import Dataset, ModelParams, classify
 from .em import (
     ConstraintSpec,
     EmConfig,
-    EmptyComponentError,
     MultiStartError,
     SingularComponentError,
     Variant,
@@ -30,6 +29,7 @@ from .metrics import adjusted_rand, param_mse
 __all__ = [
     "ScenarioSpec",
     "StudyConfig",
+    "draw_inverse_gamma",
     "draw_scenario",
     "run_study",
     "STUDY_COLUMNS",
@@ -76,6 +76,10 @@ class ScenarioSpec:
             raise ValueError("variance_shape must be finite and exceed 1 (finite mean)")
         if not -np.inf < self.coef_low < self.coef_high < np.inf:
             raise ValueError("coefficient range must be finite and non-empty")
+        if not 0.0 < self.variance_scale < np.inf:
+            raise ValueError("variance_scale must be positive and finite")
+        if not np.isfinite(intercepts).all():
+            raise ValueError("intercepts must be finite")
         name = self.name or f"n{self.n}_G{self.G}_p" + "-".join(f"{p:g}" for p in mixing)
         object.__setattr__(self, "mixing", mixing)
         object.__setattr__(self, "intercepts", intercepts)
@@ -164,7 +168,7 @@ def run_study(config: StudyConfig, keep_replications: bool = False):
                     fit, selected_c = _fit_estimator(
                         variant, data, scenario.G, config, rep_seed
                     )
-                except (SingularComponentError, EmptyComponentError, MultiStartError):
+                except (SingularComponentError, MultiStartError):
                     continue
                 elapsed = time.perf_counter() - t0
                 mse = param_mse(truth, fit.params)

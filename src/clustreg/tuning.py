@@ -123,21 +123,22 @@ def make_split(n: int, test_fraction: float, rng: np.random.Generator):
     return train, test
 
 
-def _cv_grid(data, G, cs, warm_start, target, cv, em) -> list[tuple[float, int]]:
+def _cv_grid(data, G, cs, warm_start, cv, em) -> list[tuple[float, int]]:
     """(sum of test log-likelihoods, fallbacks) for every c in ``cs``.
 
     Every split is drawn and its training set subset first; the training fits
     of every (c, split) pair then run as one kernel batch from
     ``warm_start``, a leader per split at ``cs[0]`` with the larger c as its
     shadows, and every trained model is scored on its test set in one pass.
+    Each training fit clamps to its own pooled variance, so no target enters.
     A training fit that fails hard is scored with the warm-start model
     instead and counts as a fallback.  If training fits fail the parameter
     invariant check, the error raised is that of the lowest such c and, for
     that c, the earliest split: the kernel runs every fit to its end and
     returns them in (c, split) order.
     """
-    for c in cs:
-        ConstraintSpec.constrained(c, target)     # validates c and the target
+    if not all(0.0 < c <= 1.0 for c in cs):
+        raise ValueError("conc requires c in (0, 1]")
     if not cs:
         return []
     # One child stream per repeat, derived from the CV seed only: every
@@ -173,7 +174,6 @@ def cv_loglik(
     G: int,
     c: float,
     warm_start: ModelParams,
-    target: float,
     cv: CvConfig,
     em: EmConfig,
 ) -> CvRow:
@@ -182,7 +182,7 @@ def cv_loglik(
     A training fit that fails hard contributes the warm-start model's test
     log-likelihood instead and is counted in ``n_fallback``.
     """
-    ((total, n_fallback),) = _cv_grid(data, G, [c], warm_start, target, cv, em)
+    ((total, n_fallback),) = _cv_grid(data, G, [c], warm_start, cv, em)
     return CvRow(c, total, n_fallback)
 
 
@@ -213,7 +213,7 @@ def select_c(data: Dataset, G: int, cv: CvConfig, em: EmConfig, n_starts: int) -
         seed=np.random.SeedSequence(entropy=cv.seed, spawn_key=(1,)),
     )
     feasible = [c for c in cv.c_grid if _feasible(warm.params, c)]
-    scores = dict(zip(feasible, _cv_grid(data, G, feasible, warm.params, target, cv, em)))
+    scores = dict(zip(feasible, _cv_grid(data, G, feasible, warm.params, cv, em)))
     rows = [CvRow(c, *scores[c]) if c in scores else CvRow(c, -math.inf, 0) for c in cv.c_grid]
     return CvReport(
         rows=tuple(rows),

@@ -56,7 +56,9 @@ class TestUsageErrors:
         (["tune", "--components", "0"], "G must be >= 1"),
         (["fit", "--variant", "hetn", "--components", "2", "--tol", "nan"],
          "tolerance must be positive"),
-    ], ids=["fit-G0", "tune-G0", "tol-nan"])
+        (["fit", "--variant", "hetn", "--components", "2", "--tol", "inf"],
+         "tolerance must be finite"),
+    ], ids=["fit-G0", "tune-G0", "tol-nan", "tol-inf"])
     def test_bad_em_arguments(self, data_csv, tmp_path, capsys, args, message):
         out = tmp_path / "o.json"
         code = run([*args, "--input", str(data_csv), "--response", "y", "--regressors", "x",
@@ -181,6 +183,16 @@ class TestFit:
         data, _, _ = make_two_line_data(seed=80, n=60)
         want = _estimate_target(data, 2, 6, EmConfig(), 3)
         assert json.loads(out.read_text())["target_variance"] == want
+
+    def test_rejected_step_is_not_converged(self, tmp_path):
+        # every start of this pool, the winner included, ends on a step that
+        # lowers the log-likelihood
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--benchmark", "iris", "--components", "3", "--variant", "conc",
+                    "--c", "0.1", "--starts", "5", "--seed", "0", "--output", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert (doc["stop_reason"], doc["converged"], doc["degenerate"]) == (
+            "rejected_step", False, False)
 
     def test_plot_data_emit(self, data_csv, tmp_path):
         out = tmp_path / "plot.csv"
@@ -420,11 +432,16 @@ class TestEvaluate:
         with pytest.raises(CsvFormatError, match="'zz'"):
             read_labels(labels_file, "zz")
 
+    FIT = {"weights": [1.0], "coefficients": [[0.0, 1.0]], "variances": [1.0], "loglik": -1.0,
+           "trace": [-1.0], "responsibilities": [[1.0]], "iterations": 1}
+
     @pytest.mark.parametrize("doc, field", [
         ([], "top level"),
         ({}, "field 'weights'"),
         ({"weights": "abc", "coefficients": [[0.0, 1.0]], "variances": [1.0]}, "field 'weights'"),
-    ], ids=["top-level-list", "empty", "weights-string"])
+        (FIT, "missing field 'stop_reason'"),
+        ({**FIT, "stop_reason": "stalled"}, "field 'stop_reason': 'stalled'"),
+    ], ids=["top-level-list", "empty", "weights-string", "no-stop-reason", "unknown-stop-reason"])
     def test_malformed_fit_file_named(self, tmp_path, capsys, doc, field):
         p = tmp_path / "fit.json"
         p.write_text(json.dumps(doc))

@@ -9,7 +9,6 @@ from clustreg import (
     ConstraintSpec,
     Dataset,
     EmConfig,
-    EmptyComponentError,
     InvalidParameterError,
     ModelParams,
     NumericalError,
@@ -29,7 +28,7 @@ from clustreg import (
     posterior_probs,
     run_em,
 )
-from clustreg import em
+from clustreg import em, io
 from conftest import make_two_line_data, random_dataset, random_params
 
 
@@ -194,8 +193,9 @@ class TestMStepVariances:
     def test_empty_component_raises(self):
         data = Dataset(np.array([1.0, 2.0]), np.array([[1.0], [1.0]]))
         z = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(EmptyComponentError):
+        with pytest.raises(SingularComponentError, match="zero total responsibility") as info:
             m_step_variances(data, Responsibilities(z), np.zeros((2, 1)))
+        assert info.value.component == 1
 
 
 class TestHomoscedasticVariance:
@@ -285,6 +285,7 @@ class TestEmConfig:
     @pytest.mark.parametrize("field, value", [
         ("max_iterations", 0), ("max_iterations", math.nan),
         ("tolerance", 0.0), ("tolerance", -1e-8), ("tolerance", math.nan),
+        ("tolerance", math.inf),
         ("variance_floor", 0.0), ("variance_floor", math.nan),
     ])
     def test_rejects_bad_values(self, field, value):
@@ -488,7 +489,7 @@ class TestMultiStart:
         """
         def run(loglik, degenerate):
             return em._Run(np.full(2, 0.5), np.zeros((2, 2)), np.ones(2), loglik, [loglik],
-                           not degenerate, degenerate, 1, ())
+                           "degenerate" if degenerate else "tolerance", 1, ())
 
         pool = [o if isinstance(o, Exception) else run(*o) for o in outcomes]
         monkeypatch.setattr(em, "_em_lanes", lambda *args: list(pool))
@@ -580,6 +581,48 @@ class TestMultiStart:
         assert np.array_equal(a.params.coefficients, b.params.coefficients)
 
 
+class TestStopReasons:
+    """Each run ends for one reason of STOP_REASONS; ``converged`` means ``tolerance``."""
+
+    @pytest.fixture(scope="class")
+    def iris(self):
+        return io.load_benchmark("iris").data
+
+    def test_rejected_step_is_not_converged(self, iris):
+        # the moving clamp target makes the last step of each start lower
+        # the log-likelihood; the run keeps the iterate it started that step from
+        spec = ConstraintSpec.constrained(0.1, 0.07534445197656116)
+        _, outcomes = multi_start_fit(iris, 3, spec, EmConfig(), 5, seed=0, return_all=True)
+        for fit in outcomes:
+            assert fit.stop_reason == "rejected_step"
+            assert fit.converged is False and fit.degenerate is False
+            assert fit.loglik == fit.loglik_trace[-1]
+            assert fit.iterations == len(fit.loglik_trace)    # the rejected step counts
+        init = initialize(iris, 3, spec, np.random.SeedSequence(0).spawn(1)[0])
+        fit = run_em(iris, 3, spec, EmConfig(), init, keep_history=True)
+        assert fit.stop_reason == "rejected_step"
+        assert len(fit.param_history) == len(fit.loglik_trace)
+        assert np.array_equal(fit.param_history[-1].variances, fit.params.variances)
+
+    def test_tolerance_met_on_the_capped_iteration(self, iris):
+        spec = ConstraintSpec.heteroscedastic()
+        init = initialize(iris, 3, spec, np.random.SeedSequence(0).spawn(1)[0])
+        free = run_em(iris, 3, spec, EmConfig(), init)
+        assert free.stop_reason == "tolerance" and free.converged
+        at_cap = run_em(iris, 3, spec, EmConfig(max_iterations=free.iterations), init)
+        assert at_cap.stop_reason == "tolerance" and at_cap.converged
+        assert at_cap.loglik == free.loglik
+        short = run_em(iris, 3, spec, EmConfig(max_iterations=free.iterations - 1), init)
+        assert short.stop_reason == "max_iterations" and not short.converged
+
+    def test_degenerate_takes_precedence(self):
+        data, _, _ = make_two_line_data(seed=26, n=40)
+        line = Dataset(0.1 + 0.3 * data.design[:, 1], data.design)
+        init = ModelParams(np.full(2, 0.5), np.array([[0.0, 0.3], [0.2, 0.3]]), np.ones(2))
+        fit = run_em(line, 2, ConstraintSpec.heteroscedastic(), EmConfig(max_iterations=1), init)
+        assert fit.stop_reason == "degenerate" and fit.iterations == 1
+
+
 class TestKernelEquivalence:
     """run_em must take exactly the steps the public step functions compose."""
 
@@ -652,7 +695,7 @@ class TestMonotonicityProperty:
                 try:
                     init = initialize(data, G, spec, seed=trial)
                     fit = run_em(data, G, spec, EmConfig(), init, keep_history=True)
-                except (SingularComponentError, EmptyComponentError):
+                except SingularComponentError:
                     continue
                 checked += 1
                 if not fit.degenerate:

@@ -210,6 +210,7 @@ class TestFitSerialization:
         assert np.array_equal(back.params.variances, fit.params.variances)
         assert np.array_equal(back.labels, fit.labels)
         assert np.array_equal(back.loglik_trace, fit.loglik_trace)
+        assert back.stop_reason == fit.stop_reason
         assert back.converged == fit.converged
         assert back.iterations == fit.iterations
 
@@ -221,6 +222,8 @@ class TestFitSerialization:
         assert doc["variant"] == "hetn"
         assert doc["G"] == 2
         assert doc["c"] is None
+        assert doc["stop_reason"] == "tolerance"
+        assert (doc["converged"], doc["degenerate"]) == (True, False)
         assert len(doc["weights"]) == 2
         assert len(doc["responsibilities"]) == data.n
 

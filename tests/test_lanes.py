@@ -17,7 +17,7 @@ from clustreg import em
 from clustreg.em import _em_lanes
 from conftest import make_two_line_data
 
-FIELDS = ("loglik", "converged", "degenerate", "iterations")
+FIELDS = ("loglik", "stop_reason", "converged", "degenerate", "iterations")
 ARRAYS = (
     lambda f: f.params.weights,
     lambda f: f.params.coefficients,

@@ -174,9 +174,7 @@ def _stub_fit(loglik, degenerate=False):
         loglik=loglik,
         loglik_trace=np.array([loglik]),
         responsibilities=resp,
-        labels=np.zeros(2, dtype=int),
-        converged=True,
-        degenerate=degenerate,
+        stop_reason="degenerate" if degenerate else "tolerance",
         iterations=1,
     )
 

@@ -35,10 +35,15 @@ class TestScenarioSpec:
             ("variance_shape", math.nan), ("variance_shape", math.inf),
             ("coef_low", 1.5), ("coef_low", math.nan), ("coef_low", -math.inf),
             ("coef_high", math.nan), ("coef_high", math.inf),
+            ("variance_scale", -1.0), ("variance_scale", 0.0),
+            ("variance_scale", math.nan), ("variance_scale", math.inf),
+            ("intercepts", (0.0, math.nan)),
         ]:
             base = dict(n=100, G=2, mixing=(0.5, 0.5), intercepts=(0.0, 5.0))
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as info:
                 ScenarioSpec(**{**base, field: value})
+            if field in ("variance_scale", "intercepts"):
+                assert str(info.value).startswith(field)
 
     def test_auto_name(self):
         spec = ScenarioSpec(n=100, G=2, mixing=(0.2, 0.8), intercepts=(0.0, 5.0))

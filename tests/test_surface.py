@@ -33,6 +33,17 @@ def test_all_names_resolve(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def test_package_exports_every_public_name():
+    """``clustreg`` re-exports exactly the ``__all__`` names of its API modules."""
+    api = ("model", "em", "tuning", "metrics", "simulate")
+    public = {n for name in api for n in importlib.import_module(f"clustreg.{name}").__all__}
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    exported = {alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module in api
+                for alias in node.names}
+    assert exported == public
+
+
 def test_traced_functions_exist(spans):
     missing = [
         f"{module}.{attr}"

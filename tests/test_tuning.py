@@ -116,7 +116,7 @@ class TestCvLoglik:
         spec = ConstraintSpec.constrained(c, target)
         warm = multi_start_fit(data, 2, spec, em, 3, seed=2)
 
-        score = cv_loglik(data, 2, c, warm.params, target, cv, em)
+        score = cv_loglik(data, 2, c, warm.params, cv, em)
 
         # naive re-computation with the same split streams
         base = np.random.SeedSequence(cv.seed)
@@ -136,10 +136,9 @@ class TestCvLoglik:
         em = EmConfig()
         cv = CvConfig(n_repeats=3, seed=11)
         hom = multi_start_fit(data, 2, ConstraintSpec.homoscedastic(), em, 3, seed=1)
-        target = float(hom.params.variances[0])
         warm = hom.params  # equal variances: feasible for every c
-        a = cv_loglik(data, 2, 0.9, warm, target, cv, em)
-        b = cv_loglik(data, 2, 1.0, warm, target, cv, em)
+        a = cv_loglik(data, 2, 0.9, warm, cv, em)
+        b = cv_loglik(data, 2, 1.0, warm, cv, em)
         # with c=0.9 the clamp interval is wider but both runs saw the same
         # splits; scores differ only through the trained models
         assert a.n_fallback == b.n_fallback == 0
@@ -159,7 +158,7 @@ class TestCvLoglik:
         for c in (1e-3, 0.1, 1.0):
             spec = ConstraintSpec.constrained(c, target)
             warm = run_em(data, 1, spec, em, initialize(data, 1, spec, seed=4))
-            scores.append(cv_loglik(data, 1, c, warm.params, target, cv, em).cv_loglik)
+            scores.append(cv_loglik(data, 1, c, warm.params, cv, em).cv_loglik)
         assert scores[0] == scores[1] == scores[2]
 
 
@@ -190,7 +189,7 @@ class TestSelectC:
             if row.cv_loglik == -math.inf:
                 continue
             finite += 1
-            score = cv_loglik(data, 2, row.c, warm, report.target_variance, cv, em)
+            score = cv_loglik(data, 2, row.c, warm, cv, em)
             assert (row.cv_loglik, row.n_fallback) == (score.cv_loglik, score.n_fallback)
         assert finite >= 2
 
@@ -389,7 +388,7 @@ class TestMergedGrid:
 
         monkeypatch.setattr(em, "_update_variances", counting)
         feasible = [r.c for r in report.rows if math.isfinite(r.cv_loglik)]
-        tuning._cv_grid(data, 2, feasible, report.warm_start, report.target_variance, cv, em_config)
+        tuning._cv_grid(data, 2, feasible, report.warm_start, cv, em_config)
         shared, rows[:] = sum(rows), []
         assert any(forked)      # some shadows do fork in this cell
         oracle_rows(data, 2, report, cv, em_config)
@@ -403,7 +402,7 @@ class TestMergedGrid:
         data = Dataset(1e5 + x + rng.normal(0, 0.1, 30), np.column_stack([np.ones(30), x, x]))
         warm = ModelParams(np.array([1.0, 0.0]), np.zeros((2, 3)), np.full(2, 1e-300))
         with np.errstate(over="ignore"), pytest.warns(RuntimeWarning, match="^mixture density"):
-            score = cv_loglik(data, 2, 0.5, warm, 1.0, CvConfig(n_repeats=2, seed=0), EmConfig())
+            score = cv_loglik(data, 2, 0.5, warm, CvConfig(n_repeats=2, seed=0), EmConfig())
         assert score == (0.5, -math.inf, 2)
 
 
@@ -417,10 +416,10 @@ class TestInvariantFailure:
         # equal components: the first E-step splits every point evenly, so no
         # component empties before the variances underflow
         warm = ModelParams(np.full(2, 0.5), np.zeros((2, 2)), np.ones(2))
-        return tiny, warm, 1.0
+        return tiny, warm
 
     def test_select_c_and_cv_loglik_raise_without_warning(self):
-        tiny, warm, target = self.tiny_problem()
+        tiny, warm = self.tiny_problem()
         cv = CvConfig(n_repeats=3, c_grid=(0.1, 0.5, 1.0), seed=2)
         message = "^variances must be strictly positive$"
         with warnings.catch_warnings(record=True) as caught:
@@ -428,13 +427,13 @@ class TestInvariantFailure:
             with pytest.raises(InvalidParameterError, match=message):
                 select_c(tiny, 2, cv, EmConfig(), 3)
             with pytest.raises(InvalidParameterError, match=message):
-                cv_loglik(tiny, 2, 0.5, warm, target, cv, EmConfig())
+                cv_loglik(tiny, 2, 0.5, warm, cv, EmConfig())
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_error_of_lowest_c_then_earliest_split(self, monkeypatch):
         # Two lanes: the splits run in turns, yet the error raised is the one
         # of the lowest c on the earliest split.
-        tiny, warm, target = self.tiny_problem()
+        tiny, warm = self.tiny_problem()
         cv = CvConfig(n_repeats=3, c_grid=(0.1, 0.5, 1.0), seed=2)
         monkeypatch.setattr(em, "_LANE_BUDGET", 2 * 36 * 2)
         seen = {}
@@ -447,7 +446,7 @@ class TestInvariantFailure:
 
         monkeypatch.setattr(tuning, "_em_lanes", recording_kernel)
         with pytest.raises(InvalidParameterError) as info:
-            tuning._cv_grid(tiny, 2, list(cv.c_grid), warm, target, cv, EmConfig())
+            tuning._cv_grid(tiny, 2, list(cv.c_grid), warm, cv, EmConfig())
         assert info.value is seen["outcomes"][0]
         slot, _, c = seen["members"][0]
         assert (slot, c) == (0, cv.c_grid[0])
@@ -506,7 +505,7 @@ class TestInvariantFailure:
 
         monkeypatch.setattr(tuning, "_em_lanes", recording_kernel)
         with pytest.raises(InvalidParameterError) as info:
-            tuning._cv_grid(data, G, grid, warm, target, cv, config)
+            tuning._cv_grid(data, G, grid, warm, cv, config)
         assert str(info.value) == message
         assert info.value is seen["outcomes"][j * len(splits) + k]
         assert broken[0] > roots[j]          # the first failure is not the one raised
