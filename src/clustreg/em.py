@@ -242,9 +242,9 @@ def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarra
     1 (shared by every member) or A; Z holds the (A, G, n) responsibilities
     and totals their (A, G) row sums.  A member with a component whose
     effective sample size is below J, or whose cross-product matrix has a
-    condition number above the limit, is not solved: its rows stay NaN and
-    ``failures`` lists (member, SingularComponentError) for its first such
-    component.
+    condition number above the limit, fails: ``failures`` lists (member,
+    SingularComponentError) for its first such component, and its
+    coefficients are a stand-in no caller reads.
     """
     # b is summed by einsum rather than BLAS: near a fixed point the stopping
     # iteration hangs on last bits, and this order keeps the scale-equivariance
@@ -258,21 +258,19 @@ def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarra
     with np.errstate(divide="ignore", invalid="ignore"):
         conds = eig.max(axis=-1) / eig.min(axis=-1)
     bad = (totals < J) | ~(conds <= _COND_LIMIT)
-    if not bad.any():
-        return np.linalg.solve(A, b[..., None])[..., 0], []
     failures = []
-    failed = bad.any(axis=1)
-    for a in np.flatnonzero(failed):
-        g = int(np.flatnonzero(bad[a])[0])
+    for a, g in zip(*bad.nonzero()):
+        if failures and failures[-1][0] == a:
+            continue                    # a member fails on its first such component
         if totals[a, g] < J:
             reason = f"effective sample size {totals[a, g]:.3g} < {J}"
         else:
             reason = f"condition number {conds[a, g]:.3g}"
-        failures.append((a, SingularComponentError(g, reason)))
-    ok = ~failed
-    betas = np.full(b.shape, np.nan)
-    betas[ok] = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
-    return betas, failures
+        failures.append((a, SingularComponentError(int(g), reason)))
+    # LAPACK solves each matrix on its own, so the identity stand-in leaves
+    # every other member's bits as they are
+    A[bad] = np.eye(J)
+    return np.linalg.solve(A, b[..., None])[..., 0], failures
 
 
 def m_step_betas(data: Dataset, resp: Responsibilities) -> np.ndarray:

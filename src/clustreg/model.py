@@ -197,10 +197,10 @@ def _residuals(data: Dataset, coefficients: np.ndarray) -> np.ndarray:
 
 
 def _log_density(resid, weights, variances):
-    with np.errstate(divide="ignore"):
-        logw = np.log(weights)
-    const = logw - 0.5 * np.log(2.0 * np.pi * variances)
-    return const[..., None] - resid * resid / (2.0 * variances)[..., None]
+    # a zero weight or an overflowing residual square is a -inf density: underflow
+    with np.errstate(divide="ignore", over="ignore"):
+        const = np.log(weights) - 0.5 * np.log(2.0 * np.pi * variances)
+        return const[..., None] - resid * resid / (2.0 * variances)[..., None]
 
 
 def log_density_matrix(data: Dataset, params: ModelParams) -> np.ndarray:

@@ -4,9 +4,10 @@ The selection loop follows the repeated random-split recipe: one full-sample
 temporary estimate serves as the starting value for every training fit, then
 K train/test splits shared across the whole grid (common random numbers),
 scoring each trained model on its test set and summing the K test
-contributions.  All splits are drawn first; the training fits of every
-split x feasible c then run as one kernel batch, a leader per split carrying
-the larger c as shadows (``em``); trained models are scored in one pass.
+contributions.  ``cv_loglik`` is the one scorer and ``select_c`` calls it:
+all splits are drawn first; the training fits of every split x feasible c
+then run as one kernel batch, a leader per split carrying the larger c as
+shadows (``em``); trained models are scored in one pass.
 """
 
 from __future__ import annotations
@@ -123,24 +124,28 @@ def make_split(n: int, test_fraction: float, rng: np.random.Generator):
     return train, test
 
 
-def _cv_grid(data, G, cs, warm_start, cv, em) -> list[tuple[float, int]]:
-    """(sum of test log-likelihoods, fallbacks) for every c in ``cs``.
+def cv_loglik(
+    data: Dataset, warm_start: ModelParams, cv: CvConfig, em: EmConfig
+) -> tuple[CvRow, ...]:
+    """One CvRow per c of ``cv.c_grid``, in grid order: the sum of K test-set
+    log-likelihoods of constrained models trained from ``warm_start``.
 
-    Every split is drawn and its training set subset first; the training fits
-    of every (c, split) pair then run as one kernel batch from
-    ``warm_start``, a leader per split at ``cs[0]`` with the larger c as its
-    shadows, and every trained model is scored on its test set in one pass.
-    Each training fit clamps to its own pooled variance, so no target enters.
-    A training fit that fails hard is scored with the warm-start model
-    instead and counts as a fallback.  If training fits fail the parameter
-    invariant check, the error raised is that of the lowest such c and, for
-    that c, the earliest split: the kernel runs every fit to its end and
-    returns them in (c, split) order.
+    The constrained EM needs a feasible start, so a c above the warm start's
+    variance ratio has no training fit and scores -inf.  The training fits of
+    every (feasible c, split) pair run as one kernel batch, a leader per split
+    at the smallest c with the larger c as its shadows.  Each clamps to its
+    own pooled variance, so no target enters.  A training fit that fails hard
+    is scored with the warm-start model instead and counted in
+    ``n_fallback``.  If training fits fail the parameter invariant check, the
+    error raised is that of the lowest such c and, for that c, the earliest
+    split: the kernel runs every fit to its end and returns them in (c, split)
+    order.
     """
-    if not all(0.0 < c <= 1.0 for c in cs):
-        raise ValueError("conc requires c in (0, 1]")
+    # the grid ascends, so the feasible c form a prefix of it
+    cs = [c for c in cv.c_grid if _feasible(warm_start, c)]
+    infeasible = tuple(CvRow(c, -math.inf, 0) for c in cv.c_grid[len(cs):])
     if not cs:
-        return []
+        return infeasible
     # One child stream per repeat, derived from the CV seed only: every
     # candidate c sees the identical split sequence.
     seeds = np.random.SeedSequence(cv.seed).spawn(cv.resolve_repeats(data.n))
@@ -148,7 +153,7 @@ def _cv_grid(data, G, cs, warm_start, cv, em) -> list[tuple[float, int]]:
     K = len(splits)
     trains = [data.subset(train) for train, _ in splits]
     members = [(k, warm_start, cs[0]) for k in range(K)]
-    fits = _em_lanes(trains, G, Variant.CONC, em, members, shadows=cs[1:])
+    fits = _em_lanes(trains, warm_start.n_components, Variant.CONC, em, members, shadows=cs[1:])
     for fit in fits:
         if isinstance(fit, InvalidParameterError):
             raise fit
@@ -166,24 +171,7 @@ def _cv_grid(data, G, cs, warm_start, cv, em) -> list[tuple[float, int]]:
     # does; a pairwise sum would round differently
     totals = np.cumsum(loglik.reshape(len(cs), K), axis=1)[:, -1]
     counts = fallback.reshape(len(cs), K).sum(axis=1)
-    return list(zip(totals.tolist(), counts.tolist()))
-
-
-def cv_loglik(
-    data: Dataset,
-    G: int,
-    c: float,
-    warm_start: ModelParams,
-    cv: CvConfig,
-    em: EmConfig,
-) -> CvRow:
-    """Sum of K test-set log-likelihoods of models trained from ``warm_start``.
-
-    A training fit that fails hard contributes the warm-start model's test
-    log-likelihood instead and is counted in ``n_fallback``.
-    """
-    ((total, n_fallback),) = _cv_grid(data, G, [c], warm_start, cv, em)
-    return CvRow(c, total, n_fallback)
+    return tuple(map(CvRow, cs, totals.tolist(), counts.tolist())) + infeasible
 
 
 def _estimate_target(data: Dataset, G: int, seed, em: EmConfig, n_starts: int) -> float:
@@ -202,21 +190,18 @@ def select_c(data: Dataset, G: int, cv: CvConfig, em: EmConfig, n_starts: int) -
     fit.  A single temporary estimate — a full-sample multi-start fit at the
     smallest (least constrained) grid value — provides the starting values
     for all training fits, and every candidate sees the same split sequence
-    (common random numbers).  The constrained EM is only defined for starting
-    values that satisfy the constraint, so candidates whose c exceeds the
-    temporary estimate's variance ratio have no training fit and are recorded
-    with a score of -inf.  Ties break toward the largest c.
+    (common random numbers); ``cv_loglik`` scores the grid, a candidate above
+    the temporary estimate's variance ratio at -inf.  Ties break toward the
+    largest c.
     """
     target = _estimate_target(data, G, cv.seed, em, n_starts)
     warm = multi_start_fit(
         data, G, ConstraintSpec.constrained(cv.c_grid[0], target), em, n_starts,
         seed=np.random.SeedSequence(entropy=cv.seed, spawn_key=(1,)),
     )
-    feasible = [c for c in cv.c_grid if _feasible(warm.params, c)]
-    scores = dict(zip(feasible, _cv_grid(data, G, feasible, warm.params, cv, em)))
-    rows = [CvRow(c, *scores[c]) if c in scores else CvRow(c, -math.inf, 0) for c in cv.c_grid]
+    rows = cv_loglik(data, warm.params, cv, em)
     return CvReport(
-        rows=tuple(rows),
+        rows=rows,
         selected_c=max(rows, key=lambda row: (row.cv_loglik, row.c)).c,
         warm_start=warm.params,
         target_variance=target,

@@ -139,6 +139,21 @@ class TestMStepBetas:
             m_step_betas(data, Responsibilities(z))
         assert exc.value.component == 1
 
+    def test_singular_member_leaves_the_other_members_bits(self):
+        # two members solved together, the first on collinear columns: the
+        # failure names it, and the second gets the bits of its own solve
+        rng = np.random.default_rng(6)
+        good = random_dataset(rng, 8, 2)
+        X = np.stack([np.ones((8, 2)), good.design])
+        Xt = np.ascontiguousarray(X.swapaxes(1, 2))
+        y = np.stack([good.responses] * 2)[:, None]
+        Z = np.stack([rng.dirichlet(np.ones(2), size=8).T] * 2)
+        betas, failures = em._solve_betas(Xt, y, Z, Z.sum(axis=-1))
+        alone, none = em._solve_betas(Xt[1:], y[1:], Z[1:], Z[1:].sum(axis=-1))
+        assert none == []
+        assert [(a, type(exc)) for a, exc in failures] == [(0, SingularComponentError)]
+        assert np.array_equal(betas[1], alone[0])
+
     @staticmethod
     def _two_scale_design(scale):
         # Component 0 owns four rows of [1, +-1] (cross-product diag(4, 4)),

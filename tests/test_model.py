@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -218,15 +219,27 @@ class TestPosteriorProbs:
             for g in range(2):
                 assert resp.probs[i, g] == pytest.approx(num[g] / denom, rel=1e-12)
 
-    def test_underflow_rows_fall_back_to_uniform(self):
+    @staticmethod
+    def _overflowing_residual():
+        # the first residual squares past the largest float
         data = Dataset(np.array([1e200, 0.0]), np.array([[1.0], [1.0]]))
         params = ModelParams(
             np.array([0.5, 0.5]), np.array([[0.0], [0.1]]), np.array([1.0, 1.0])
         )
-        resp = posterior_probs(data, params)
+        return data, params
+
+    def test_underflow_rows_fall_back_to_uniform(self):
+        resp = posterior_probs(*self._overflowing_residual())
         assert resp.underflow[0]
         assert not resp.underflow[1]
         assert np.allclose(resp.probs[0], [0.5, 0.5])
+
+    def test_overflowing_residual_warns_nothing(self):
+        data, params = self._overflowing_residual()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resp = posterior_probs(data, params)
+        assert resp.underflow[0]
 
     def test_rows_sum_to_one_property(self):
         # >= 1000 random fixtures

@@ -104,6 +104,12 @@ class TestMakeSplit:
         assert np.array_equal(a[1], b[1])
 
 
+def score_c(data, c, warm, cv, em_config):
+    """cv_loglik's row for c alone: the grid narrowed to (c,)."""
+    (row,) = cv_loglik(data, warm, replace(cv, c_grid=(c,)), em_config)
+    return row
+
+
 class TestCvLoglik:
     def test_matches_naive_loop_oracle(self):
         data, _, _ = make_two_line_data(seed=30, n=60)
@@ -116,7 +122,7 @@ class TestCvLoglik:
         spec = ConstraintSpec.constrained(c, target)
         warm = multi_start_fit(data, 2, spec, em, 3, seed=2)
 
-        score = cv_loglik(data, 2, c, warm.params, cv, em)
+        score = score_c(data, c, warm.params, cv, em)
 
         # naive re-computation with the same split streams
         base = np.random.SeedSequence(cv.seed)
@@ -137,8 +143,8 @@ class TestCvLoglik:
         cv = CvConfig(n_repeats=3, seed=11)
         hom = multi_start_fit(data, 2, ConstraintSpec.homoscedastic(), em, 3, seed=1)
         warm = hom.params  # equal variances: feasible for every c
-        a = cv_loglik(data, 2, 0.9, warm, cv, em)
-        b = cv_loglik(data, 2, 1.0, warm, cv, em)
+        a = score_c(data, 0.9, warm, cv, em)
+        b = score_c(data, 1.0, warm, cv, em)
         # with c=0.9 the clamp interval is wider but both runs saw the same
         # splits; scores differ only through the trained models
         assert a.n_fallback == b.n_fallback == 0
@@ -158,8 +164,26 @@ class TestCvLoglik:
         for c in (1e-3, 0.1, 1.0):
             spec = ConstraintSpec.constrained(c, target)
             warm = run_em(data, 1, spec, em, initialize(data, 1, spec, seed=4))
-            scores.append(cv_loglik(data, 1, c, warm.params, cv, em).cv_loglik)
+            scores.append(score_c(data, c, warm.params, cv, em).cv_loglik)
         assert scores[0] == scores[1] == scores[2]
+
+    def test_one_row_per_grid_c_infeasible_at_minus_inf(self, monkeypatch):
+        # the warm start's variance ratio is 0.01: the two larger c have no
+        # training fit and score exactly (c, -inf, 0), without raising
+        data, B, _ = make_two_line_data(seed=39, n=120, noise=(0.05, 2.0))
+        warm = ModelParams(np.full(2, 0.5), B, np.array([0.0025, 0.25]))
+        cv = CvConfig(n_repeats=3, c_grid=(0.001, 0.005, 0.5, 1.0), seed=13)
+        rows = cv_loglik(data, warm, cv, EmConfig())
+        assert tuple(r.c for r in rows) == cv.c_grid
+        assert all(math.isfinite(r.cv_loglik) for r in rows[:2])
+        assert rows[2:] == (CvRow(0.5, -math.inf, 0), CvRow(1.0, -math.inf, 0))
+
+        # with no feasible c, no split is drawn
+        def no_split(*args):
+            raise AssertionError("a split was drawn")
+
+        monkeypatch.setattr(tuning, "make_split", no_split)
+        assert cv_loglik(data, warm, replace(cv, c_grid=(0.5, 1.0)), EmConfig()) == rows[2:]
 
 
 class TestSelectC:
@@ -189,9 +213,10 @@ class TestSelectC:
             if row.cv_loglik == -math.inf:
                 continue
             finite += 1
-            score = cv_loglik(data, 2, row.c, warm, cv, em)
+            score = score_c(data, row.c, warm, cv, em)
             assert (row.cv_loglik, row.n_fallback) == (score.cv_loglik, score.n_fallback)
         assert finite >= 2
+        assert report.rows == cv_loglik(data, warm, cv, em)
 
     def test_deterministic(self):
         data, _, _ = make_two_line_data(seed=34, n=60)
@@ -387,8 +412,7 @@ class TestMergedGrid:
             return real(ss, totals, n, variant, roots, shadows)
 
         monkeypatch.setattr(em, "_update_variances", counting)
-        feasible = [r.c for r in report.rows if math.isfinite(r.cv_loglik)]
-        tuning._cv_grid(data, 2, feasible, report.warm_start, cv, em_config)
+        cv_loglik(data, report.warm_start, cv, em_config)
         shared, rows[:] = sum(rows), []
         assert any(forked)      # some shadows do fork in this cell
         oracle_rows(data, 2, report, cv, em_config)
@@ -401,8 +425,8 @@ class TestMergedGrid:
         # is scored with the warm start, whose density underflows everywhere
         data = Dataset(1e5 + x + rng.normal(0, 0.1, 30), np.column_stack([np.ones(30), x, x]))
         warm = ModelParams(np.array([1.0, 0.0]), np.zeros((2, 3)), np.full(2, 1e-300))
-        with np.errstate(over="ignore"), pytest.warns(RuntimeWarning, match="^mixture density"):
-            score = cv_loglik(data, 2, 0.5, warm, CvConfig(n_repeats=2, seed=0), EmConfig())
+        with pytest.warns(RuntimeWarning, match="^mixture density"):
+            score = score_c(data, 0.5, warm, CvConfig(n_repeats=2, seed=0), EmConfig())
         assert score == (0.5, -math.inf, 2)
 
 
@@ -427,7 +451,7 @@ class TestInvariantFailure:
             with pytest.raises(InvalidParameterError, match=message):
                 select_c(tiny, 2, cv, EmConfig(), 3)
             with pytest.raises(InvalidParameterError, match=message):
-                cv_loglik(tiny, 2, 0.5, warm, cv, EmConfig())
+                score_c(tiny, 0.5, warm, cv, EmConfig())
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_error_of_lowest_c_then_earliest_split(self, monkeypatch):
@@ -446,7 +470,7 @@ class TestInvariantFailure:
 
         monkeypatch.setattr(tuning, "_em_lanes", recording_kernel)
         with pytest.raises(InvalidParameterError) as info:
-            tuning._cv_grid(tiny, 2, list(cv.c_grid), warm, cv, EmConfig())
+            cv_loglik(tiny, warm, cv, EmConfig())
         assert info.value is seen["outcomes"][0]
         slot, _, c = seen["members"][0]
         assert (slot, c) == (0, cv.c_grid[0])
@@ -505,7 +529,7 @@ class TestInvariantFailure:
 
         monkeypatch.setattr(tuning, "_em_lanes", recording_kernel)
         with pytest.raises(InvalidParameterError) as info:
-            tuning._cv_grid(data, G, grid, warm, cv, config)
+            cv_loglik(data, warm, cv, config)
         assert str(info.value) == message
         assert info.value is seen["outcomes"][j * len(splits) + k]
         assert broken[0] > roots[j]          # the first failure is not the one raised
