@@ -62,10 +62,8 @@ def load_presets() -> dict:
 def _add_input_args(p):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="CSV file with the data")
-    src.add_argument(
-        "--benchmark", choices=("ceo", "temperature", "iris"),
-        help="use a benchmark dataset (bundled copy unless --input-path is given)",
-    )
+    src.add_argument("--benchmark", choices=("ceo", "temperature", "iris"),
+                     help="use a benchmark dataset (bundled copy unless --input-path is given)")
     p.add_argument("--input-path", help="local file for --benchmark")
     p.add_argument("--response", help="response column name or index")
     p.add_argument("--regressors", help="comma-separated regressor columns")
@@ -91,10 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_em_args(p_fit)
     p_fit.add_argument("--variant", choices=("hetn", "homn", "conc"), required=True)
     p_fit.add_argument("--c", type=float, help="constraint constant (conc only)")
-    p_fit.add_argument(
-        "--target", type=float,
-        help="target variance for conc; defaults to a preliminary homoscedastic fit",
-    )
+    p_fit.add_argument("--target", type=float, help=(
+        "target variance for conc; defaults to a preliminary homoscedastic fit"))
     p_fit.add_argument("--output", required=True)
     p_fit.add_argument("--emit", choices=("json", "plot-data"), default="json")
 
@@ -115,10 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="score a stored fit against labels or truth")
     p_eval.add_argument("--fit", required=True, help="fit JSON from fit/tune")
     p_eval.add_argument("--labels", help="CSV with a label column: path[:column]")
-    p_eval.add_argument(
-        "--benchmark", choices=("iris",),
-        help="score against a benchmark's true labels",
-    )
+    p_eval.add_argument("--benchmark", choices=("iris",),
+                        help="score against a benchmark's true labels")
     p_eval.add_argument("--truth", help="JSON file with true weights/coefficients/variances")
     p_eval.add_argument("--output", help="write the metric JSON here instead of stdout")
     return parser
@@ -126,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_data(args) -> Dataset:
     if args.benchmark:
-        labeled = io.load_benchmark(args.benchmark, args.input_path)
-        return labeled.data
+        return io.load_benchmark(args.benchmark, args.input_path).data
     if args.response is None:
         raise UsageError("--response is required with --input")
     regressors = []

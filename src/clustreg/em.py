@@ -32,7 +32,8 @@ its end; the outcomes come back in (c, member) order as raw arrays, which
 only a caller returning a FitResult turns into one, recomputing the
 posteriors.  Each per-run operation is the same floating-point arithmetic as
 a run on its own, so a result does not depend on its batch.  ``run_em`` is
-the one-member call.
+the one-member call.  The M-step's check, a 2-norm condition number above
+1e12, is screened by a trace/determinant bound that changes no bit.
 
 Members that differ only in a larger c share a lane: until its clamp first
 binds, such a member repeats bit for bit the steps at the smallest c, since
@@ -60,6 +61,7 @@ from .model import (
     Responsibilities,
     _check_params,
     _e_step_arrays,
+    _require_int,
     _residual_rows,
     _residuals,
     posterior_probs,
@@ -87,6 +89,7 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+_TINY = np.finfo(float).tiny   # the smallest positive normal float
 # Elements of (G, n) posteriors held over all lanes of one EM batch: the lane
 # count is this budget over G*n, read off the input.
 _LANE_BUDGET = 2**14
@@ -102,14 +105,12 @@ class Variant(str, Enum):
 
 
 class SingularComponentError(RuntimeError):
-    """Weighted normal equations for one component are not solvable."""
+    """Weighted normal equations for one component (None: any start) are not solvable."""
 
-    def __init__(self, component: int, reason: str = ""):
+    def __init__(self, component, reason: str = ""):
         self.component = component
-        msg = f"singular weighted least squares for component {component}"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
+        head = f"singular weighted least squares for component {component}"
+        super().__init__(": ".join(filter(None, (component is not None and head, reason))))
 
 
 class NumericalError(InvalidParameterError):
@@ -175,8 +176,7 @@ class EmConfig:
     variance_floor: float = None
 
     def __post_init__(self):
-        if not self.max_iterations >= 1:
-            raise ValueError("max_iterations must be >= 1")
+        _require_int("max_iterations", self.max_iterations)
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.tolerance == math.inf:
@@ -254,10 +254,18 @@ def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarra
     XZ = Xt * Z[..., None, :]                     # (A, G, J, n)
     A = XZ @ Xt.swapaxes(-1, -2)                  # (A, G, J, J)
     b = np.einsum("...jn,...n->...j", XZ, y)      # (A, G, J)
-    eig = np.abs(np.linalg.eigvalsh(A))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conds = eig.max(axis=-1) / eig.min(axis=-1)
-    bad = (totals < J) | ~(conds <= _COND_LIMIT)
+    bad = totals < J
+    conds = np.zeros(bad.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # A positive-definite matrix has cond <= tr**J / det.  One with a normal det and
+        # the bound 100 times under the limit passes; eigvalsh decides all others.
+        tr, det = np.einsum("...jj->...", A), np.linalg.det(A)
+        check = ~((0.0 < tr) & (_TINY <= det) & (det < math.inf)
+                  & (tr ** J / det <= 1e-2 * _COND_LIMIT))
+        if check.any():
+            eig = np.abs(np.linalg.eigvalsh(A[check]))
+            conds[check] = eig.max(axis=-1) / eig.min(axis=-1)
+            bad |= ~(conds <= _COND_LIMIT)
     failures = []
     for a, g in zip(*bad.nonzero()):
         if failures and failures[-1][0] == a:
@@ -267,9 +275,8 @@ def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarra
         else:
             reason = f"condition number {conds[a, g]:.3g}"
         failures.append((a, SingularComponentError(int(g), reason)))
-    # LAPACK solves each matrix on its own, so the identity stand-in leaves
-    # every other member's bits as they are
-    A[bad] = np.eye(J)
+    if failures:    # LAPACK solves each matrix alone: others' bits stay as they are
+        A[bad] = np.eye(J)
     return np.linalg.solve(A, b[..., None])[..., 0], failures
 
 
@@ -279,7 +286,7 @@ def m_step_betas(data: Dataset, resp: Responsibilities) -> np.ndarray:
     Raises SingularComponentError when a component's effective sample size is
     below the number of regressors or its weighted cross-product matrix has a
     2-norm condition number (largest over smallest eigenvalue magnitude) above
-    1e12.
+    1e12; no eigenvalues are computed when cond <= trace**J / det is 100 times under it.
     """
     Z = resp.probs.T
     betas, failures = _solve_betas(
@@ -336,25 +343,27 @@ def initialize(data: Dataset, G: int, spec: ConstraintSpec, seed) -> ModelParams
         raise ValueError(f"need n >= G*(J+1) = {G * (J + 1)}, got {n}")
     rng = np.random.default_rng(seed)
     X, y = data.design, data.responses
+    size, extra = divmod(n, G)      # np.array_split's cut points
+    cuts = [g * size + min(g, extra) for g in range(G + 1)]
     for _ in range(_INIT_ATTEMPTS):
         perm = rng.permutation(n)
-        groups = np.array_split(perm, G)
         betas = np.empty((G, J))
         ss = 0.0
-        for g, idx in enumerate(groups):
-            coef, _, rank, _ = np.linalg.lstsq(X[idx], y[idx], rcond=None)
+        for g, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            Xg, yg = X[perm[lo:hi]], y[perm[lo:hi]]
+            coef, _, rank, _ = np.linalg.lstsq(Xg, yg, rcond=None)
             if rank < J:
                 break
             betas[g] = coef
-            r = y[idx] - X[idx] @ coef
+            r = yg - Xg @ coef
             ss += float(r @ r)
         else:
             pooled = ss / n
             if pooled <= 0.0:
-                pooled = max(1e-12 * float(np.var(y)), np.finfo(float).tiny)
+                pooled = max(1e-12 * float(np.var(y)), _TINY)
             start = spec.target_variance if spec.variant is Variant.CONC else pooled
             return ModelParams(np.full(G, 1.0 / G), betas, np.full(G, start))
-    raise SingularComponentError(-1, f"no full-rank partition found in {_INIT_ATTEMPTS} attempts")
+    raise SingularComponentError(None, f"no full-rank start partition in {_INIT_ATTEMPTS} tries")
 
 
 def _update_variances(ss, totals, n, variant, roots, shadows=None):
@@ -385,10 +394,8 @@ def _check_init(G: int, variant: Variant, c, init: ModelParams) -> None:
     if init.n_components != G:
         raise ValueError("init has wrong number of components")
     if variant is Variant.CONC and not _feasible(init, c):
-        raise ValueError(
-            "constrained run requires a feasible initial guess "
-            f"(variance ratio {min_variance_ratio(init):.3g} < c = {c:g})"
-        )
+        raise ValueError("constrained run requires a feasible initial guess "
+                         f"(variance ratio {min_variance_ratio(init):.3g} < c = {c:g})")
 
 
 def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
@@ -519,9 +526,9 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
                                     shadows[r - 1], 0)
                 lane["q"][a] = first
         # a member with a variance below its sample's floor leaves degenerate
-        degenerate = variances.min(axis=-1) < floors[lane["slot"]]
+        degenerate = variances.min(axis=-1) < rows(floors, lane["slot"])
         if degenerate.any():
-            floored = np.maximum(variances, np.finfo(float).tiny)
+            floored = np.maximum(variances, _TINY)
             variances = np.where(degenerate[:, None], floored, variances)
 
         # invariant check; a member that fails it leaves before its E-step
@@ -533,28 +540,31 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
                 faults < 0, weights, betas, variances, resid, degenerate)
         lane["it"] += 1
 
-        # E-step, then each run's stop: the index in STOP_REASONS of the first
-        # reason that holds, len(STOP_REASONS) if none does.  The moving clamp
-        # target makes the constrained update an inexact maximization; a step
-        # that lowers the objective is rejected and ends the run before it.
+        # E-step, then each ending run's stop: the index in STOP_REASONS of
+        # the first reason that holds.  The moving clamp target makes the
+        # constrained update an inexact maximization; a step that lowers the
+        # objective is rejected and ends the run before it.
         ll, P, _ = _e_step_arrays(resid, weights, variances)
         old = lane["ll"]
         with np.errstate(invalid="ignore"):
             met = np.isfinite(ll) & (abs(ll - old) <= config.tolerance * (1.0 + abs(ll)))
-        stop = np.array([degenerate, ll < old, met, lane["it"] >= config.max_iterations,
-                         np.ones_like(degenerate)]).argmax(axis=0)
-        rejected, ended = stop == STOP_REASONS.index("rejected_step"), stop < len(STOP_REASONS)
-        for a in np.flatnonzero(rejected):
-            leave(a, "rejected_step")
+        dropped, over = ll < old, lane["it"] >= config.max_iterations
+        ended = degenerate | dropped | met | over
+        stopping = ended.any()          # on most iterations no run stops
+        if stopping:
+            stop = np.array([degenerate, dropped, met, over]).argmax(axis=0)
+            rejected = stop == STOP_REASONS.index("rejected_step")
+            for a in np.flatnonzero(rejected):
+                leave(a, "rejected_step")
         lane.update(w=weights, b=betas, v=variances, p=P, ll=ll)
         for a, (k, v) in enumerate(zip(lane["key"].tolist(), ll.tolist())):
             if k in logs:         # a rejected run has left
                 logs[k][0].append(v)
                 if keep_history:
                     logs[k][1].append(ModelParams(weights[a], betas[a], variances[a]))
-        for a in np.flatnonzero(ended & ~rejected):
-            leave(a, STOP_REASONS[stop[a]])
-        if ended.any():
+        if stopping:
+            for a in np.flatnonzero(ended & ~rejected):
+                leave(a, STOP_REASONS[stop[a]])
             keep(~ended)
 
 
@@ -614,9 +624,10 @@ def multi_start_fit(
             raise res
     runs = [i for i, res in enumerate(outcomes) if isinstance(res, _Run)]
     if not runs:
-        raise MultiStartError(
-            f"all {n_starts} starts failed: " + "; ".join(str(e) for e in outcomes)
-        )
+        reasons = [str(e) for e in outcomes]    # each once, in order of first failure
+        raise MultiStartError(f"all {n_starts} starts failed: " + "; ".join(
+            f"{r} ({reasons.count(r)} start{'s' * (reasons.count(r) > 1)})"
+            for r in dict.fromkeys(reasons)))
     winner = min(runs, key=lambda i: (outcomes[i].stop_reason == "degenerate",
                                       -outcomes[i].loglik, i))
     if not return_all:

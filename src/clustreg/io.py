@@ -224,11 +224,8 @@ def load_benchmark(name: str, path=None) -> LabeledDataset:
     if label_aliases is not None:
         label_col = _column(label_aliases, header, len(header), label_aliases[0])
     if len(rows) != expected:
-        warnings.warn(
-            f"{name} file has {len(rows)} rows, documented size is {expected}",
-            UserWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"{name} file has {len(rows)} rows, documented size is {expected}",
+                      UserWarning, stacklevel=2)
     data = _to_dataset(rows, cols, [a[0] for a in specs], add_intercept=True)
     if label_aliases is None:
         return LabeledDataset(data)

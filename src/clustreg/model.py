@@ -42,14 +42,26 @@ _PARAM_FAULTS = (
 def _check_params(weights, coefficients, variances) -> np.ndarray:
     """Index into _PARAM_FAULTS of the first invariant each parameter set breaks, -1 if none.
 
-    Arrays may carry leading member axes; the result has their shape.
+    Arrays may carry leading member axes; the result has their shape.  One
+    pass clears the usual all-valid case; faults are classified only if it fails.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
+        off = abs(weights.sum(axis=-1) - 1.0)
+        # a finite sum has finite terms; w >= 0 and the sum test reject NaN and inf weights
+        if (np.isfinite(coefficients.sum() + variances.sum()) and (variances > 0).all()
+                and (weights >= 0).all() and (off <= _WEIGHT_SUM_TOL).all()):
+            return np.full(off.shape, -1)
         finite = (np.isfinite(weights).all(axis=-1) & np.isfinite(variances).all(axis=-1)
                   & np.isfinite(coefficients).all(axis=(-2, -1)))
-        simplex = ~(weights < 0).any(axis=-1) & ~(abs(weights.sum(axis=-1) - 1.0) > _WEIGHT_SUM_TOL)
+        simplex = ~(weights < 0).any(axis=-1) & ~(off > _WEIGHT_SUM_TOL)
     positive = ~(variances <= 0).any(axis=-1)
     return np.where(~finite, 0, np.where(~simplex, 1, np.where(~positive, 2, -1)))
+
+
+def _require_int(name: str, value, low: int = 1) -> None:
+    """Reject anything but an integer (a NumPy one too) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _as_readonly(a, dtype=float):
@@ -217,15 +229,17 @@ def _e_step_arrays(resid, weights, variances):
     """
     L = _log_density(resid, weights, variances)
     shift = L.max(axis=-2)
-    bad = np.isneginf(shift)
+    bad = shift == -np.inf
     underflow = bad.any(axis=-1)
     if underflow.any():
         L[np.broadcast_to(bad[..., None, :], L.shape)] = 0.0
         shift[bad] = 0.0
-    E = np.exp(L - shift[..., None, :])
-    total = E.sum(axis=-2)
+    L -= shift[..., None, :]        # in place: shifted densities, then posteriors
+    np.exp(L, out=L)
+    total = L.sum(axis=-2)
     loglik = np.where(underflow, -np.inf, np.log(total).sum(axis=-1) + shift.sum(axis=-1))
-    return loglik, E / total[..., None, :], bad
+    L /= total[..., None, :]
+    return loglik, L, bad
 
 
 _UNDERFLOW_WARNING = (

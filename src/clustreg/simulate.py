@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Dataset, ModelParams, classify
+from .model import Dataset, ModelParams, _require_int, classify
 from .em import (
     ConstraintSpec,
     EmConfig,
@@ -64,6 +64,8 @@ class ScenarioSpec:
     name: str = ""
 
     def __post_init__(self):
+        for name, low in (("n", 1), ("G", 1), ("n_regressors", 0)):
+            _require_int(name, getattr(self, name), low)
         mixing = tuple(float(p) for p in self.mixing)
         intercepts = tuple(float(b) for b in self.intercepts)
         if len(mixing) != self.G or len(intercepts) != self.G:
@@ -97,8 +99,8 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.replications >= 1:
-            raise ValueError("replications must be >= 1")
+        for name, low in (("replications", 1), ("n_starts", 1), ("seed", 0)):
+            _require_int(name, getattr(self, name), low)
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(
             self, "estimators", tuple(Variant(v) for v in self.estimators)

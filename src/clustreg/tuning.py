@@ -25,6 +25,7 @@ from .model import (
     InvalidParameterError,
     ModelParams,
     _e_step_arrays,
+    _require_int,
     _residual_rows,
 )
 from .em import (
@@ -71,8 +72,8 @@ class CvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_repeats is not None and not self.n_repeats >= 1:
-            raise ValueError("n_repeats must be >= 1")
+        if self.n_repeats is not None:
+            _require_int("n_repeats", self.n_repeats)
         if not (0.0 < self.test_fraction < 1.0):
             raise ValueError("test_fraction must be in (0, 1)")
         grid = tuple(float(c) for c in self.c_grid)

@@ -266,6 +266,18 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert err == "error: numerical failure: variances must be strictly positive\n"
 
+    def test_rank_poor_design_names_its_reason_once(self, tmp_path, capsys):
+        # x repeats the intercept, so no random start partition has full rank
+        path = tmp_path / "data.csv"
+        write_csv(Dataset(np.arange(40.0), np.ones((40, 2)), ("intercept", "x")), path)
+        code = run(["fit", "--variant", "hetn", "--input", str(path), "--response", "y",
+                    "--regressors", "x", "--components", "2", "--starts", "10",
+                    "--output", str(tmp_path / "fit.json")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "error: numerical failure: all 10 starts failed: "
+            "no full-rank start partition in 20 tries (10 starts)\n")
+
 
 class TestDegenerate:
     @pytest.mark.parametrize("variant", [
@@ -365,6 +377,29 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
         assert str(p) in err and field in err
+
+    @pytest.mark.parametrize("doc, field, where", [
+        ({"scenarios": [SCENARIO], "n_starts": 2.5}, "n_starts", "the top level"),
+        ({"scenarios": [SCENARIO], "n_starts": 0}, "n_starts", "the top level"),
+        ({"scenarios": [SCENARIO], "replications": 1.5}, "replications", "the top level"),
+        ({"scenarios": [SCENARIO], "seed": 1.5}, "seed", "the top level"),
+        ({"scenarios": [SCENARIO], "max_iterations": 10.5}, "max_iterations", "the top level"),
+        ({"scenarios": [SCENARIO], "cv": {"n_repeats": 2.5}}, "n_repeats", "field 'cv'"),
+        ({"scenarios": [{**SCENARIO, "n": 40.5}]}, "n", "scenarios[0]"),
+        ({"scenarios": [{**SCENARIO, "G": 2.0}]}, "G", "scenarios[0]"),
+        ({"scenarios": [{**SCENARIO, "n_regressors": 1.5}]}, "n_regressors", "scenarios[0]"),
+    ], ids=["n_starts", "zero-n_starts", "replications", "seed", "max_iterations",
+            "n_repeats", "n", "G", "n_regressors"])
+    def test_non_integer_field_named(self, tmp_path, capsys, doc, field, where):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"replications": 1, "n_starts": 2, **doc}))
+        code = run(["simulate", "--scenario-file", str(p),
+                    "--output", str(tmp_path / "o.csv")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: {where}: {field} must be an integer >= ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
 
     def test_invalid_json_names_file(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -1,9 +1,11 @@
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clustreg import (
     ConstraintSpec,
@@ -180,6 +182,107 @@ class TestMStepBetas:
         assert np.all(np.isfinite(betas))
 
 
+def _plain_eigvalsh_failures(A, totals):
+    """The unscreened check: (member, component, reason) of every failing component."""
+    J = A.shape[-1]
+    eig = np.abs(np.linalg.eigvalsh(A))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds = eig.max(axis=-1) / eig.min(axis=-1)
+    return [(a, g, f"effective sample size {totals[a, g]:.3g} < {J}" if totals[a, g] < J
+             else f"condition number {conds[a, g]:.3g}")
+            for a, g in zip(*((totals < J) | ~(conds <= em._COND_LIMIT)).nonzero())]
+
+
+def _first_per_member(failures):
+    return [f for i, f in enumerate(failures) if i == 0 or failures[i - 1][0] != f[0]]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except np.linalg.LinAlgError as exc:
+        return repr(exc)
+
+
+@st.composite
+def _gram_batches(draw):
+    """(A, J, n) designs, (A, 1, n) responses and (A, G, n) weights whose Gram
+    matrices X'diag(z)X span near-collinear, badly scaled, weightless and
+    non-finite cases."""
+    J, n = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    A, G = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((A, J, n))
+    if J > 1 and draw(st.booleans()):
+        # the last column is the first plus 10**-k noise: cond about 10**(2k), 1e6..1e16
+        X[:, -1] = X[:, 0] + 10.0 ** -draw(st.floats(3.0, 8.0)) * rng.standard_normal((A, n))
+    X *= 10.0 ** np.array(draw(st.lists(st.sampled_from([-150, -100, -78, -52, 0, 100, 150]),
+                                        min_size=A, max_size=A)))[:, None, None]
+    Z = rng.dirichlet(np.ones(G), size=(A, n)).swapaxes(1, 2).copy()
+    Z[rng.random(Z.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        X[tuple(rng.integers(0, X.shape))] = value
+    return X, rng.standard_normal((A, 1, n)), Z
+
+
+class TestConditionScreen:
+    """The trace/determinant screen in _solve_betas against plain eigvalsh."""
+
+    @given(_gram_batches())
+    @settings(max_examples=300)
+    def test_screen_matches_plain_eigvalsh(self, batch):
+        Xt, y, Z = batch
+        J, totals = Xt.shape[1], Z.sum(axis=-1)
+        seen, eigvalsh = [], np.linalg.eigvalsh
+
+        def recording_eigvalsh(M):
+            seen.append(M.copy())
+            return eigvalsh(M)
+
+        def screened():
+            with mock.patch.object(np.linalg, "eigvalsh", recording_eigvalsh):
+                _, failures = em._solve_betas(Xt, y, Z, totals)
+            return [(a, exc.component, str(exc).split(": ", 1)[1]) for a, exc in failures]
+
+        def each_alone():
+            # every (member, component) on its own: the whole failing set
+            out = []
+            for a, g in np.ndindex(*totals.shape):
+                _, failures = em._solve_betas(
+                    Xt[a:a + 1], y[a:a + 1], Z[a:a + 1, g:g + 1], totals[a:a + 1, g:g + 1])
+                out += [(a, g, str(exc).split(": ", 1)[1]) for _, exc in failures]
+            return out
+
+        # non-finite and huge entries warn in the products, here and in _solve_betas
+        with np.errstate(all="ignore"):
+            # the Gram matrices exactly as _solve_betas forms them
+            A = (Xt[:, None] * Z[..., None, :]) @ Xt[:, None].swapaxes(-1, -2)
+            tr, det = np.einsum("...jj->...", A), np.linalg.det(A)
+            passed = ((0.0 < tr) & (np.finfo(float).tiny <= det) & (det < math.inf)
+                      & (tr ** J / det <= 1e-2 * em._COND_LIMIT))
+            # eigvalsh may not converge on non-finite entries: then both raise
+            reference = _outcome(lambda: _plain_eigvalsh_failures(A, totals))
+            first = reference if isinstance(reference, str) else _first_per_member(reference)
+            assert _outcome(screened) == first
+            if not isinstance(reference, str):
+                assert each_alone() == reference
+        # eigvalsh sees exactly the matrices the bound did not pass, in one call
+        if passed.all():
+            assert seen == []
+        else:
+            assert len(seen) == 1 and np.array_equal(seen[0], A[~passed], equal_nan=True)
+
+    def test_near_singular_passes_only_through_eigvalsh(self):
+        # cond just under the limit: the bound (100 times under it) cannot pass
+        # the matrix, so eigvalsh decides, and the solve goes ahead
+        data, resp = TestMStepBetas._two_scale_design(10.0 ** -5.5)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+            betas = m_step_betas(data, resp)
+        assert spy.call_count == 1 and spy.call_args[0][0].shape == (1, 2, 2)
+        assert np.all(np.isfinite(betas))
+
+
 class TestMStepVariances:
     def test_perfect_fit_gives_zero(self):
         x = np.arange(5.0)
@@ -307,6 +410,14 @@ class TestEmConfig:
         with pytest.raises(ValueError, match=f"^{field}"):
             EmConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [10.5, 10.0, "10", True])
+    def test_max_iterations_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="^max_iterations must be an integer >= 1"):
+            EmConfig(max_iterations=value)
+
+    def test_max_iterations_accepts_numpy_integers(self):
+        assert EmConfig(max_iterations=np.int32(10)).max_iterations == 10
+
 
 class TestInitialize:
     def test_single_component_is_ols(self):
@@ -335,6 +446,23 @@ class TestInitialize:
         data = Dataset(np.arange(4.0), np.column_stack([np.ones(4), np.arange(4.0)]))
         with pytest.raises(ValueError):
             initialize(data, 2, ConstraintSpec.heteroscedastic(), seed=0)
+
+    def test_groups_are_array_split_of_the_permutation(self):
+        # each group's coefficients are the OLS fit of np.array_split's group
+        data, _, _ = make_two_line_data(seed=14, n=23)
+        for G in (1, 2, 3, 5):
+            params = initialize(data, G, ConstraintSpec.heteroscedastic(), seed=G)
+            perm = np.random.default_rng(G).permutation(data.n)
+            for g, idx in enumerate(np.array_split(perm, G)):
+                coef, *_ = np.linalg.lstsq(data.design[idx], data.responses[idx], rcond=None)
+                assert np.array_equal(params.coefficients[g], coef)
+
+    def test_no_full_rank_partition_names_no_component(self):
+        data = Dataset(np.arange(12.0), np.ones((12, 2)))    # collinear columns
+        with pytest.raises(SingularComponentError) as info:
+            initialize(data, 2, ConstraintSpec.heteroscedastic(), seed=0)
+        assert info.value.component is None
+        assert str(info.value) == "no full-rank start partition in 20 tries"
 
 
 class TestRunEm:
@@ -485,6 +613,22 @@ class TestMultiStart:
         init = initialize(data, 2, spec, base.spawn(1)[0])
         direct = run_em(data, 2, spec, config, init)
         assert best.loglik == direct.loglik
+
+    def test_all_failed_lists_each_reason_once_with_its_count(self, monkeypatch):
+        errors = iter([SingularComponentError(None, "no start"),
+                       SingularComponentError(1, "effective sample size 0.5 < 2"),
+                       SingularComponentError(None, "no start")])
+
+        def failing_initialize(*args):
+            raise next(errors)
+
+        monkeypatch.setattr(em, "initialize", failing_initialize)
+        data, _, _ = make_two_line_data(seed=22, n=60)
+        with pytest.raises(em.MultiStartError) as info:
+            multi_start_fit(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(), 3, seed=1)
+        assert str(info.value) == (
+            "all 3 starts failed: no start (2 starts); singular weighted least squares "
+            "for component 1: effective sample size 0.5 < 2 (1 start)")
 
     def test_best_dominates_all_starts(self):
         data, _, _ = make_two_line_data(seed=23, n=60)

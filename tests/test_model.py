@@ -21,6 +21,7 @@ from clustreg import (
     min_variance_ratio,
     posterior_probs,
 )
+from clustreg import model
 from conftest import random_dataset, random_params
 
 
@@ -315,6 +316,64 @@ class TestInvariants:
     def test_responsibilities_reject_bad_rows(self):
         with pytest.raises(ValueError):
             Responsibilities(np.array([[0.7, 0.7]]))
+
+
+def _reference_fault(w, B, v):
+    """The full classification of one parameter set, first fault in _PARAM_FAULTS order."""
+    if not (np.isfinite(w).all() and np.isfinite(B).all() and np.isfinite(v).all()):
+        return 0
+    if (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
+        return 1
+    if (v <= 0).any():
+        return 2
+    return -1
+
+
+class TestCheckParams:
+    FAULTS = ("w-nan", "w-inf", "B-nan", "B-inf", "v-nan", "v-inf",
+              "w-negative", "w-sum", "v-zero")
+
+    @staticmethod
+    def _inject(rng, w, B, v, fault):
+        g = rng.integers(w.size)
+        kind, what = fault.split("-")
+        if what in ("nan", "inf"):
+            target = {"w": w, "v": v}.get(kind)
+            value = math.nan if what == "nan" else rng.choice([math.inf, -math.inf])
+            if target is None:
+                B[g, rng.integers(B.shape[1])] = value
+            else:
+                target[g] = value
+        elif what == "negative":
+            w[g] = -w[g] - 1e-3
+        elif what == "sum":
+            w[g] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11.5, -1.0)
+        else:
+            v[g] = 0.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_codes_equal_full_classification(self, seed):
+        # members with zero, one or several faults at once, over two member axes
+        rng = np.random.default_rng(seed)
+        G, J = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        shape = (3, 4)
+        w = rng.dirichlet(np.ones(G), size=shape)
+        B = rng.normal(0.0, 3.0, size=(*shape, G, J))
+        v = rng.uniform(0.1, 4.0, size=(*shape, G))
+        for idx in np.ndindex(*shape):
+            for fault in rng.choice(self.FAULTS, size=rng.integers(0, 4), replace=False):
+                self._inject(rng, w[idx], B[idx], v[idx], fault)
+        expected = np.array([_reference_fault(w[i], B[i], v[i]) for i in np.ndindex(*shape)])
+        assert model._check_params(w, B, v).tolist() == expected.reshape(shape).tolist()
+        for i in np.ndindex(*shape):          # each member alone, valid ones on the fast path
+            assert model._check_params(w[i], B[i], v[i]) == _reference_fault(w[i], B[i], v[i])
+        valid = expected.reshape(shape) < 0
+        if valid.any():
+            assert model._check_params(w[valid], B[valid], v[valid]).tolist() == [-1] * valid.sum()
+
+    def test_fast_path_with_no_members(self):
+        codes = model._check_params(np.ones((0, 2)) / 2, np.zeros((0, 2, 3)), np.ones((0, 2)))
+        assert codes.shape == (0,)
 
 
 def test_import_loads_no_scipy():

@@ -45,6 +45,19 @@ class TestScenarioSpec:
             if field in ("variance_scale", "intercepts"):
                 assert str(info.value).startswith(field)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 100.5), ("n", 100.0), ("G", 2.0), ("n_regressors", 1.5), ("n_regressors", -1),
+    ])
+    def test_integer_fields_reject_other_values(self, field, value):
+        base = dict(n=100, G=2, mixing=(0.5, 0.5), intercepts=(0.0, 5.0))
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ScenarioSpec(**{**base, field: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        spec = ScenarioSpec(n=np.int64(100), G=np.int32(2), mixing=(0.5, 0.5),
+                            intercepts=(0.0, 5.0), n_regressors=np.int16(2))
+        assert spec.name == "n100_G2_p0.5-0.5"
+
     def test_auto_name(self):
         spec = ScenarioSpec(n=100, G=2, mixing=(0.2, 0.8), intercepts=(0.0, 5.0))
         assert spec.name == "n100_G2_p0.2-0.8"
@@ -154,6 +167,22 @@ class TestRunStudy:
         )
         defaults.update(kw)
         return StudyConfig(**defaults)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_starts", 2.5), ("n_starts", 0), ("replications", 1.5), ("replications", 0),
+        ("seed", 1.5), ("seed", -1),
+    ])
+    def test_integer_fields_reject_other_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            self._config(**{field: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        def rows(**kw):
+            return [[(k, str(v)) for k, v in row.items() if k != "time_s"]
+                    for row in run_study(self._config(**kw))]
+
+        assert (rows(n_starts=np.int64(2), replications=np.int32(1), seed=np.uint8(1))
+                == rows(n_starts=2, replications=1, seed=1))
 
     def test_row_schema(self):
         rows = run_study(self._config())

@@ -78,6 +78,12 @@ class TestCvConfig:
             with pytest.raises(ValueError):
                 CvConfig(n_repeats=bad)
 
+    def test_repeats_must_be_an_integer(self):
+        for bad in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="^n_repeats must be an integer >= 1"):
+                CvConfig(n_repeats=bad)
+        assert CvConfig(n_repeats=np.int64(3)).resolve_repeats(50) == 3
+
 
 class TestMakeSplit:
     def test_partition_contract(self):
