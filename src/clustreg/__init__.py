@@ -19,7 +19,6 @@ from .em import (
     STOP_REASONS,
     SingularComponentError,
     NumericalError,
-    MultiStartError,
     m_step_weights,
     m_step_betas,
     m_step_variances,

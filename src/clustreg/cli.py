@@ -1,8 +1,8 @@
 """Command-line front end: fit, tune, simulate, and evaluate workflows.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 the best fit is
-degenerate.  Diagnostics go to stderr one record per line, prefixed
-``error:`` or ``warn:``.
+Exit codes: 0 success, 1 bad input (a ValueError or OSError), 2 a failed fit
+(a NumericalError), 3 the best fit is degenerate.  Diagnostics go to stderr
+one record per line, prefixed ``error:`` or ``warn:``.
 """
 
 from __future__ import annotations
@@ -14,14 +14,7 @@ import sys
 import numpy as np
 
 from .model import Dataset
-from .em import (
-    ConstraintSpec,
-    EmConfig,
-    MultiStartError,
-    NumericalError,
-    SingularComponentError,
-    multi_start_fit,
-)
+from .em import ConstraintSpec, EmConfig, NumericalError, multi_start_fit
 from .tuning import CvConfig, _estimate_target, fit_conc
 from .metrics import adjusted_rand, bic, param_mse
 from .simulate import StudyConfig, run_study
@@ -62,12 +55,12 @@ def load_presets() -> dict:
 def _add_input_args(p):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="CSV file with the data")
-    src.add_argument("--benchmark", choices=("ceo", "temperature", "iris"),
+    src.add_argument("--benchmark", choices=tuple(io.BENCHMARK_SIZES),
                      help="use a benchmark dataset (bundled copy unless --input-path is given)")
     p.add_argument("--input-path", help="local file for --benchmark")
     p.add_argument("--response", help="response column name or index")
     p.add_argument("--regressors", help="comma-separated regressor columns")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", help="default: ,")
     p.add_argument("--no-header", action="store_true")
     p.add_argument("--no-intercept", action="store_true")
 
@@ -118,9 +111,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CSV_FLAGS = ("response", "regressors", "delimiter", "no_header", "no_intercept")
+
+
 def _load_data(args) -> Dataset:
     if args.benchmark:
+        for flag in _CSV_FLAGS:
+            if getattr(args, flag) not in (None, False):
+                raise UsageError(f"--{flag.replace('_', '-')} is only valid with --input")
         return io.load_benchmark(args.benchmark, args.input_path).data
+    if args.input_path is not None:
+        raise UsageError("--input-path is only valid with --benchmark")
     if args.response is None:
         raise UsageError("--response is required with --input")
     regressors = []
@@ -134,7 +135,7 @@ def _load_data(args) -> Dataset:
         response_column=conv(args.response),
         regressor_columns=tuple(conv(c) for c in regressors),
         add_intercept=not args.no_intercept,
-        delimiter=args.delimiter,
+        delimiter="," if args.delimiter is None else args.delimiter,
         has_header=not args.no_header,
     )
     return io.load_csv(args.input, schema)
@@ -237,7 +238,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _err(f"usage: {exc}")
         return EXIT_USAGE
-    except (NumericalError, SingularComponentError, MultiStartError) as exc:
+    except NumericalError as exc:
         _err(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
     except (OSError, ValueError) as exc:

@@ -30,10 +30,13 @@ only then, in start order, on its own seed stream.  Every run enters one
 way, from its parameters through a batched E-step, and every member runs to
 its end; the outcomes come back in (c, member) order as raw arrays, which
 only a caller returning a FitResult turns into one, recomputing the
-posteriors.  Each per-run operation is the same floating-point arithmetic as
-a run on its own, so a result does not depend on its batch.  ``run_em`` is
-the one-member call.  The M-step's check, a 2-norm condition number above
-1e12, is screened by a trace/determinant bound that changes no bit.
+posteriors.  A failed member's outcome is a NumericalError.  Only a
+SingularComponentError (singular M-step, no full-rank start) fails the
+member alone; ``_raise_fatal`` raises the first other one, in outcome order.
+Each per-run operation is the same floating-point arithmetic as a run on its
+own, so a result does not depend on its batch.  ``run_em`` is the one-member
+call.  The M-step's check, a 2-norm condition number above 1e12, is screened
+by a trace/determinant bound that changes no bit.
 
 Members that differ only in a larger c share a lane: until its clamp first
 binds, such a member repeats bit for bit the steps at the smallest c, since
@@ -56,7 +59,6 @@ import numpy as np
 from .model import (
     _PARAM_FAULTS,
     Dataset,
-    InvalidParameterError,
     ModelParams,
     Responsibilities,
     _check_params,
@@ -77,7 +79,6 @@ __all__ = [
     "STOP_REASONS",
     "SingularComponentError",
     "NumericalError",
-    "MultiStartError",
     "m_step_weights",
     "m_step_betas",
     "m_step_variances",
@@ -104,21 +105,17 @@ class Variant(str, Enum):
     CONC = "conc"
 
 
-class SingularComponentError(RuntimeError):
-    """Weighted normal equations for one component (None: any start) are not solvable."""
+class NumericalError(RuntimeError):
+    """A fit broke down numerically: an invariant failed inside EM, or the response is flat."""
+
+
+class SingularComponentError(NumericalError):
+    """Weighted normal equations of one component (None: a start, or a pool) are unsolvable."""
 
     def __init__(self, component, reason: str = ""):
         self.component = component
         head = f"singular weighted least squares for component {component}"
         super().__init__(": ".join(filter(None, (component is not None and head, reason))))
-
-
-class NumericalError(InvalidParameterError):
-    """A fit broke down numerically: an invariant failed inside EM, or the response is flat."""
-
-
-class MultiStartError(RuntimeError):
-    """Every start of a multi-start fit failed with a hard error."""
 
 
 @dataclass(frozen=True)
@@ -568,6 +565,13 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
             keep(~ended)
 
 
+def _raise_fatal(outcomes) -> None:
+    """Raise the first of the kernel's outcomes that is fatal (module docstring), if any."""
+    for res in outcomes:
+        if isinstance(res, NumericalError) and not isinstance(res, SingularComponentError):
+            raise res
+
+
 def run_em(
     data: Dataset,
     G: int,
@@ -610,22 +614,20 @@ def multi_start_fit(
     Non-degenerate results win; among equals the highest log-likelihood wins,
     ties resolved to the earliest start.  If every start degenerates the best
     degenerate result is returned.  With ``return_all`` the per-start outcomes
-    (FitResult or exception) are returned alongside the winner.  If a start
-    fails the parameter invariant check, the lowest such start's
-    InvalidParameterError is raised.
+    (FitResult or exception) are returned alongside the winner.  A fatal
+    outcome (module docstring) is raised; if every start fails, a
+    SingularComponentError lists each reason once with its count.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     starts = _starts(data, G, spec, base.spawn(n_starts))
     outcomes = _em_lanes([data], G, spec.variant, config, starts)
-    for res in outcomes:
-        if isinstance(res, InvalidParameterError):
-            raise res
+    _raise_fatal(outcomes)
     runs = [i for i, res in enumerate(outcomes) if isinstance(res, _Run)]
     if not runs:
         reasons = [str(e) for e in outcomes]    # each once, in order of first failure
-        raise MultiStartError(f"all {n_starts} starts failed: " + "; ".join(
+        raise SingularComponentError(None, f"all {n_starts} starts failed: " + "; ".join(
             f"{r} ({reasons.count(r)} start{'s' * (reasons.count(r) > 1)})"
             for r in dict.fromkeys(reasons)))
     winner = min(runs, key=lambda i: (outcomes[i].stop_reason == "degenerate",

@@ -172,14 +172,6 @@ class Responsibilities:
         object.__setattr__(self, "probs", P)
         object.__setattr__(self, "underflow", under)
 
-    @property
-    def n(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def n_components(self) -> int:
-        return self.probs.shape[1]
-
 
 def component_density(y: float, x, beta, sigma2: float) -> float:
     """Normal regression density of y given x under one component."""

@@ -14,15 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Dataset, ModelParams, _require_int, classify
-from .em import (
-    ConstraintSpec,
-    EmConfig,
-    MultiStartError,
-    SingularComponentError,
-    Variant,
-    multi_start_fit,
-)
+from .model import Dataset, ModelParams, _require_int
+from .em import ConstraintSpec, EmConfig, NumericalError, Variant, multi_start_fit
 from .tuning import CvConfig, fit_conc
 from .metrics import adjusted_rand, param_mse
 
@@ -120,7 +113,8 @@ def draw_scenario(spec: ScenarioSpec, rng: np.random.Generator):
         if np.bincount(labels, minlength=G).min() > 0:
             break
     else:
-        raise RuntimeError("a mixture component drew zero members in every attempt")
+        raise ValueError(f"scenario {spec.name!r}: a mixture component drew no members "
+                         f"in {_REDRAW_ATTEMPTS} attempts")
     X = np.column_stack([np.ones(n), rng.standard_normal((n, p))])
     betas = np.column_stack(
         [np.asarray(spec.intercepts), rng.uniform(spec.coef_low, spec.coef_high, size=(G, p))]
@@ -149,9 +143,9 @@ def run_study(config: StudyConfig, keep_replications: bool = False):
 
     Returns one aggregate row (dict with STUDY_COLUMNS keys plus ``n_failed``)
     per (scenario, estimator), built from one record per successful fit.
-    Individual replication failures are counted, never fatal.  With
-    ``keep_replications`` the records, in (replication, estimator) order
-    within each scenario, are returned as a second value.
+    A fit that fails with a NumericalError is counted in ``n_failed``, never
+    fatal.  With ``keep_replications`` the records, in (replication,
+    estimator) order within each scenario, are returned as a second value.
     """
     rows = []
     records = []
@@ -170,7 +164,7 @@ def run_study(config: StudyConfig, keep_replications: bool = False):
                     fit, selected_c = _fit_estimator(
                         variant, data, scenario.G, config, rep_seed
                     )
-                except (SingularComponentError, MultiStartError):
+                except NumericalError:
                     continue
                 elapsed = time.perf_counter() - t0
                 mse = param_mse(truth, fit.params)
@@ -181,7 +175,7 @@ def run_study(config: StudyConfig, keep_replications: bool = False):
                         "estimator": variant.value,
                         "mse_beta": mse.avg_mse_beta,
                         "mse_sigma": mse.avg_mse_sigma,
-                        "adj_rand": adjusted_rand(true_labels, classify(fit.responsibilities)),
+                        "adj_rand": adjusted_rand(true_labels, fit.labels),
                         "time_s": elapsed,
                         "c": selected_c,
                         "degenerate": fit.degenerate,

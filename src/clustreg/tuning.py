@@ -22,7 +22,6 @@ import numpy as np
 from .model import (
     _UNDERFLOW_WARNING,
     Dataset,
-    InvalidParameterError,
     ModelParams,
     _e_step_arrays,
     _require_int,
@@ -36,6 +35,7 @@ from .em import (
     Variant,
     _em_lanes,
     _feasible,
+    _raise_fatal,
     multi_start_fit,
 )
 
@@ -135,12 +135,11 @@ def cv_loglik(
     variance ratio has no training fit and scores -inf.  The training fits of
     every (feasible c, split) pair run as one kernel batch, a leader per split
     at the smallest c with the larger c as its shadows.  Each clamps to its
-    own pooled variance, so no target enters.  A training fit that fails hard
-    is scored with the warm-start model instead and counted in
-    ``n_fallback``.  If training fits fail the parameter invariant check, the
-    error raised is that of the lowest such c and, for that c, the earliest
-    split: the kernel runs every fit to its end and returns them in (c, split)
-    order.
+    own pooled variance, so no target enters.  A training fit that ends in a
+    SingularComponentError is scored with the warm-start model instead and
+    counted in ``n_fallback``.  A fatal outcome (``em`` module docstring) is
+    raised: the kernel returns the fits in (c, split) order, so it is that of
+    the lowest such c and, for that c, the earliest split.
     """
     # the grid ascends, so the feasible c form a prefix of it
     cs = [c for c in cv.c_grid if _feasible(warm_start, c)]
@@ -155,9 +154,7 @@ def cv_loglik(
     trains = [data.subset(train) for train, _ in splits]
     members = [(k, warm_start, cs[0]) for k in range(K)]
     fits = _em_lanes(trains, warm_start.n_components, Variant.CONC, em, members, shadows=cs[1:])
-    for fit in fits:
-        if isinstance(fit, InvalidParameterError):
-            raise fit
+    _raise_fatal(fits)
     fallback = np.array([isinstance(fit, SingularComponentError) for fit in fits])
     models = [warm_start if failed else fit for fit, failed in zip(fits, fallback)]
     weights = np.array([m.weights for m in models])

@@ -10,10 +10,19 @@ from clustreg.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     load_presets,
     main,
 )
-from clustreg.io import CsvFormatError, CsvSchema, read_labels, write_csv
+from clustreg.io import (
+    BENCHMARK_SIZES,
+    CsvFormatError,
+    CsvSchema,
+    load_benchmark,
+    read_labels,
+    write_csv,
+)
+from clustreg.metrics import adjusted_rand
 from clustreg.tuning import _estimate_target
 from conftest import make_two_line_data
 
@@ -66,6 +75,51 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_input_without_response(self, data_csv, tmp_path, capsys):
+        code = run(["fit", "--input", str(data_csv), "--regressors", "x", "--components", "2",
+                    "--variant", "hetn", "--output", str(tmp_path / "o.json")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: usage: --response is required with --input\n"
+
+    def test_target_with_non_conc_variant(self, data_csv, tmp_path, capsys):
+        code = run(["fit", "--input", str(data_csv), "--response", "y", "--regressors", "x",
+                    "--components", "2", "--variant", "homn", "--target", "0.2",
+                    "--output", str(tmp_path / "o.json")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: usage: --target is only valid with --variant conc\n")
+
+    @pytest.mark.parametrize("command", [["fit", "--variant", "hetn"], ["tune"]])
+    @pytest.mark.parametrize("flag", [
+        ["--response", "nonsense"], ["--regressors", "a,b"], ["--delimiter", ";"],
+        ["--no-header"], ["--no-intercept"],
+    ], ids=lambda flag: flag[0])
+    def test_csv_flag_with_benchmark(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "o.json"
+        code = run([*command, "--benchmark", "iris", *flag, "--components", "2",
+                    "--starts", "2", "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: usage: {flag[0]} is only valid with --input\n"
+        assert not out.exists()
+
+    def test_input_path_with_input(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        code = run(["fit", "--input", str(data_csv), "--input-path", str(data_csv),
+                    "--response", "y", "--regressors", "x", "--components", "2",
+                    "--variant", "hetn", "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: usage: --input-path is only valid with --benchmark\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["fit", "--variant", "hetn"], ["tune"]])
+    def test_benchmark_choices_are_the_known_benchmarks(self, capsys, command):
+        argv = [*command, "--components", "2", "--output", "o.json", "--benchmark"]
+        for name in BENCHMARK_SIZES:
+            assert build_parser().parse_args([*argv, name]).benchmark == name
+        assert run([*argv, "nope"]) == EXIT_USAGE
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     def test_conc_without_c(self, data_csv, tmp_path):
         code = run([
@@ -230,7 +284,7 @@ class TestFit:
 
 
 class TestNumericalFailure:
-    """Fits that break down numerically exit 2 and write nothing."""
+    """Fits that break down numerically exit 2 and write nothing; a study counts them."""
 
     @staticmethod
     def csv(tmp_path, responses):
@@ -256,6 +310,23 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert err == "error: numerical failure: responses have no spread (max == min)\n"
         assert not out.exists()
+
+    def test_study_counts_flat_replications(self, tmp_path, capsys):
+        # equal intercepts, no slopes and noise far below one ulp of 5: every
+        # response is exactly 5, the failure test_flat_response exits 2 on
+        p = tmp_path / "study.json"
+        p.write_text(json.dumps({
+            "scenarios": [{"n": 20, "G": 2, "mixing": [0.5, 0.5], "intercepts": [5, 5],
+                           "n_regressors": 0, "variance_scale": 1e-300}],
+            "replications": 2, "n_starts": 2, "cv": {"n_repeats": 2},
+        }))
+        out = tmp_path / "rows.json"
+        code = run(["simulate", "--scenario-file", str(p), "--emit", "json",
+                    "--output", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert [(row["estimator"], row["n_failed"]) for row in json.loads(out.read_text())] == [
+            ("homn", 2), ("hetn", 2), ("conc", 2)]
 
     def test_invariant_failure_inside_em(self, tmp_path, capsys):
         path = self.csv(tmp_path, lambda d: d.responses * 1e-200)
@@ -401,6 +472,20 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
 
+    def test_undrawable_scenario_is_one_error_line(self, tmp_path, capsys):
+        p = tmp_path / "study.json"
+        p.write_text(json.dumps({
+            "scenarios": [{"n": 20, "G": 2, "mixing": [1e-9, 0.999999999], "intercepts": [0, 5],
+                           "n_regressors": 1}],
+            "replications": 1, "n_starts": 2,
+        }))
+        out = tmp_path / "o.csv"
+        assert run(["simulate", "--scenario-file", str(p), "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: scenario 'n20_G2_p1e-09-1': a mixture component drew no members "
+            "in 20 attempts\n")
+        assert not out.exists()
+
     def test_invalid_json_names_file(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"scenarios": [')
@@ -493,6 +578,16 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
         assert str(truth_file) in err and "field 'coefficients'" in err
+
+    def test_benchmark_iris_labels(self, tmp_path, capsys):
+        fit_file = tmp_path / "iris.json"
+        assert run(["fit", "--benchmark", "iris", "--components", "3", "--variant", "hetn",
+                    "--starts", "2", "--output", str(fit_file)]) == EXIT_OK
+        assert run(["evaluate", "--fit", str(fit_file), "--benchmark", "iris"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        labels = json.loads(fit_file.read_text())["labels"]
+        assert out["adj_rand"] == adjusted_rand(load_benchmark("iris").true_labels, labels)
+        assert "bic" in out
 
     def test_no_metric_requested(self, stored_fit, capsys):
         assert run(["evaluate", "--fit", str(stored_fit)]) == EXIT_USAGE

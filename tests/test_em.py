@@ -11,7 +11,6 @@ from clustreg import (
     ConstraintSpec,
     Dataset,
     EmConfig,
-    InvalidParameterError,
     ModelParams,
     NumericalError,
     Responsibilities,
@@ -447,6 +446,11 @@ class TestInitialize:
         with pytest.raises(ValueError):
             initialize(data, 2, ConstraintSpec.heteroscedastic(), seed=0)
 
+    def test_rejects_no_components(self):
+        data, _, _ = make_two_line_data(seed=10, n=40)
+        with pytest.raises(ValueError, match="^G must be >= 1$"):
+            initialize(data, 0, ConstraintSpec.heteroscedastic(), seed=0)
+
     def test_groups_are_array_split_of_the_permutation(self):
         # each group's coefficients are the OLS fit of np.array_split's group
         data, _, _ = make_two_line_data(seed=14, n=23)
@@ -466,6 +470,12 @@ class TestInitialize:
 
 
 class TestRunEm:
+    def test_init_with_wrong_component_count_rejected(self):
+        data, _, _ = make_two_line_data(seed=10, n=40)
+        init = initialize(data, 3, ConstraintSpec.heteroscedastic(), seed=0)
+        with pytest.raises(ValueError, match="^init has wrong number of components$"):
+            run_em(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(), init)
+
     @pytest.mark.parametrize("variant", ["hetn", "homn", "conc"])
     def test_recovers_separated_lines(self, variant):
         data, truth, _ = make_two_line_data(seed=13, n=100, noise=(0.05, 0.05))
@@ -614,6 +624,11 @@ class TestMultiStart:
         direct = run_em(data, 2, spec, config, init)
         assert best.loglik == direct.loglik
 
+    def test_rejects_no_starts(self):
+        data, _, _ = make_two_line_data(seed=22, n=60)
+        with pytest.raises(ValueError, match="^n_starts must be >= 1$"):
+            multi_start_fit(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(), 0, seed=1)
+
     def test_all_failed_lists_each_reason_once_with_its_count(self, monkeypatch):
         errors = iter([SingularComponentError(None, "no start"),
                        SingularComponentError(1, "effective sample size 0.5 < 2"),
@@ -624,8 +639,9 @@ class TestMultiStart:
 
         monkeypatch.setattr(em, "initialize", failing_initialize)
         data, _, _ = make_two_line_data(seed=22, n=60)
-        with pytest.raises(em.MultiStartError) as info:
+        with pytest.raises(SingularComponentError) as info:
             multi_start_fit(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(), 3, seed=1)
+        assert info.value.component is None
         assert str(info.value) == (
             "all 3 starts failed: no start (2 starts); singular weighted least squares "
             "for component 1: effective sample size 0.5 < 2 (1 start)")
@@ -690,10 +706,10 @@ class TestMultiStart:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             message = "^variances must be strictly positive$"
-            with pytest.raises(InvalidParameterError, match=message) as info:
+            with pytest.raises(NumericalError, match=message) as info:
                 multi_start_fit(tiny, 2, spec, EmConfig(), 5, seed=12)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert isinstance(info.value, NumericalError)
+        assert type(info.value) is NumericalError
 
     @pytest.mark.parametrize("variant", ["hetn", "homn", "conc"])
     def test_flat_response_is_a_numerical_error(self, variant):

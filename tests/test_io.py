@@ -11,6 +11,7 @@ from clustreg.io import (
     CsvFormatError,
     _read_table,
     CsvSchema,
+    LabeledDataset,
     bundled_path,
     fit_from_document,
     load_benchmark,
@@ -84,6 +85,22 @@ class TestLoadCsv:
         p.write_bytes(b"\xff\xfex,y\n1,2\n")
         with pytest.raises(CsvFormatError, match=f"^{re.escape(str(p))}: not valid UTF-8"):
             load_csv(p, CsvSchema(response_column="y", regressor_columns=("x",)))
+
+    def test_response_as_regressor_rejected(self):
+        with pytest.raises(ValueError, match="^response column cannot also be a regressor$"):
+            CsvSchema(response_column="y", regressor_columns=("x", "y"))
+
+    @pytest.mark.parametrize("text, schema, message", [
+        ("1,2\n3,4\n", CsvSchema(0, (5,), has_header=False),
+         "regressor column index 5 out of range (file has 2 columns)"),
+        ("1,2\n3,4\n", CsvSchema("y", has_header=False),
+         "response column given by name 'y' but the file has no header"),
+        ("x,y\n", CsvSchema("y", ("x",)), "header but no data rows"),
+    ], ids=["index-out-of-range", "name-without-header", "header-only"])
+    def test_schema_faults_named(self, tmp_path, text, schema, message):
+        p = self._write(tmp_path, text)
+        with pytest.raises(CsvFormatError, match=f"{re.escape(message)}$"):
+            load_csv(p, schema)
 
     def test_blank_lines_skipped(self, tmp_path):
         p = self._write(tmp_path, "x,y\n\n1,2\n\n")
@@ -165,6 +182,11 @@ class TestBenchmarks:
         p.write_text("salary,age\n100,45\n200,55\n")
         with pytest.warns(UserWarning, match="documented size"):
             load_benchmark("ceo", path=p)
+
+    def test_labels_length_must_match(self):
+        data = Dataset(np.ones(2), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="^labels length must match the sample size$"):
+            LabeledDataset(data, true_labels=[0, 1, 2])
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -165,6 +165,12 @@ class TestParamMse:
         with pytest.raises(ValueError):
             param_mse(a, b)
 
+    def test_rejects_mismatched_coefficient_dimensions(self):
+        a = ModelParams(np.array([1.0]), np.zeros((1, 2)), np.ones(1))
+        b = ModelParams(np.array([1.0]), np.zeros((1, 3)), np.ones(1))
+        with pytest.raises(ValueError, match="^coefficient dimensions differ$"):
+            param_mse(a, b)
+
 
 def _stub_fit(loglik, degenerate=False):
     params = ModelParams(np.array([1.0]), np.zeros((1, 1)), np.ones(1))

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -316,6 +317,37 @@ class TestInvariants:
     def test_responsibilities_reject_bad_rows(self):
         with pytest.raises(ValueError):
             Responsibilities(np.array([[0.7, 0.7]]))
+
+    @pytest.mark.parametrize("responses, design, names, message", [
+        (np.ones((2, 1)), np.ones((2, 1)), (), "responses must be 1-d and design 2-d"),
+        (np.ones(2), np.ones(2), (), "responses must be 1-d and design 2-d"),
+        (np.ones(0), np.ones((0, 1)), (), "need at least one observation"),
+        (np.ones(2), np.ones((2, 2)), ("a",), "feature_names length must match design columns"),
+    ], ids=["2-d-responses", "1-d-design", "empty", "names-length"])
+    def test_dataset_rejects_bad_layout(self, responses, design, names, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(responses, design, names)
+
+    @pytest.mark.parametrize("weights, coefficients, variances, message", [
+        (np.ones((1, 1)), np.zeros((1, 1)), np.ones(1), "bad parameter shapes"),
+        (np.ones(1), np.zeros(1), np.ones(1), "bad parameter shapes"),
+        (np.ones(1), np.zeros((1, 1)), np.ones((1, 1)), "bad parameter shapes"),
+        (np.full(2, 0.5), np.zeros((1, 1)), np.ones(2), "must share G >= 1"),
+        (np.full(2, 0.5), np.zeros((2, 1)), np.ones(3), "must share G >= 1"),
+        (np.ones(0), np.zeros((0, 1)), np.ones(0), "must share G >= 1"),
+    ], ids=["2-d-weights", "1-d-coefficients", "2-d-variances", "coefficients-G",
+            "variances-G", "no-components"])
+    def test_params_reject_bad_shapes(self, weights, coefficients, variances, message):
+        with pytest.raises(InvalidParameterError, match=f"{message}$"):
+            ModelParams(weights, coefficients, variances)
+
+    @pytest.mark.parametrize("probs, message", [
+        (np.full(2, 0.5), "probs must be a matrix"),
+        (np.array([[1.5, -0.5]]), "probabilities outside [0, 1]"),
+    ], ids=["vector", "outside-unit-interval"])
+    def test_responsibilities_reject_bad_values(self, probs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Responsibilities(probs)
 
 
 def _reference_fault(w, B, v):

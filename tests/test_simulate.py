@@ -143,6 +143,14 @@ class TestDrawScenario:
             resid = data.responses[mask] - data.design[mask] @ truth.coefficients[g]
             assert resid.var() == pytest.approx(truth.variances[g], rel=0.05)
 
+    def test_undrawable_scenario_is_named(self):
+        # a component of weight 1e-9 draws no member in any attempt
+        spec = ScenarioSpec(n=20, G=2, mixing=(1e-9, 0.999999999), intercepts=(0.0, 5.0),
+                            n_regressors=1)
+        message = "^scenario 'n20_G2_p1e-09-1': a mixture component drew no members in 20 "
+        with pytest.raises(ValueError, match=message):
+            draw_scenario(spec, np.random.default_rng(0))
+
     def test_deterministic_given_rng(self):
         a = draw_scenario(self.spec, np.random.default_rng(7))
         b = draw_scenario(self.spec, np.random.default_rng(7))
@@ -247,6 +255,22 @@ class TestRunStudy:
             else:
                 assert math.isnan(row["mean_c"])
         assert [row["n_failed"] for row in rows] == [0, 1, 1]
+
+    def test_flat_response_replications_are_counted(self):
+        # equal intercepts, no slopes and noise far below one ulp of 5: every
+        # response is exactly 5, which each estimator's fit rejects as a
+        # NumericalError
+        flat = ScenarioSpec(n=20, G=2, mixing=(0.5, 0.5), intercepts=(5.0, 5.0),
+                            n_regressors=0, variance_scale=1e-300)
+        data, _, _ = draw_scenario(flat, np.random.default_rng(0))
+        assert (data.responses == 5.0).all()
+        config = self._config(scenarios=(flat,), replications=2,
+                              estimators=(Variant.HOMN, Variant.HETN, Variant.CONC))
+        rows, records = run_study(config, keep_replications=True)
+        assert records == []
+        assert [(row["estimator"], row["n_failed"]) for row in rows] == [
+            ("homn", 2), ("hetn", 2), ("conc", 2)]
+        assert all(math.isnan(row["adj_rand"]) for row in rows)
 
     def test_near_noiseless_recovers_partition_exactly(self):
         scenario = ScenarioSpec(

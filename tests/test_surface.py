@@ -44,6 +44,25 @@ def test_package_exports_every_public_name():
     assert exported == public
 
 
+def test_every_exported_exception_is_in_one_family():
+    """Bad input is a ValueError or OSError (exit 1), a failed fit a NumericalError (exit 2).
+
+    The CLI maps each family to its exit code and a study counts only failed
+    fits, so no exported exception may belong to both families or to neither.
+    """
+    from clustreg.em import NumericalError, SingularComponentError
+
+    exported = set()
+    for name in MODULES:
+        module = importlib.import_module(f"clustreg.{name}")
+        exported |= {getattr(module, n) for n in module.__all__}
+    classes = {c for c in exported if isinstance(c, type) and issubclass(c, BaseException)}
+    assert {NumericalError, SingularComponentError} <= classes
+    families = {c.__name__: (issubclass(c, (ValueError, OSError)), issubclass(c, NumericalError))
+                for c in classes}
+    assert {name: f for name, f in families.items() if sum(f) != 1} == {}
+
+
 def test_traced_functions_exist(spans):
     missing = [
         f"{module}.{attr}"

@@ -12,8 +12,8 @@ from clustreg import (
     CvRow,
     Dataset,
     EmConfig,
-    InvalidParameterError,
     ModelParams,
+    NumericalError,
     SingularComponentError,
     cv_loglik,
     default_c_grid,
@@ -102,6 +102,11 @@ class TestMakeSplit:
     def test_empty_test_raises(self):
         with pytest.raises(ValueError):
             make_split(5, 0.1, np.random.default_rng(2))
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5])
+    def test_no_training_data_raises(self, fraction):
+        with pytest.raises(ValueError, match="^test set leaves no training data$"):
+            make_split(10, fraction, np.random.default_rng(2))
 
     def test_deterministic_given_rng_state(self):
         a = make_split(40, 0.2, np.random.default_rng(3))
@@ -454,9 +459,9 @@ class TestInvariantFailure:
         message = "^variances must be strictly positive$"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(InvalidParameterError, match=message):
+            with pytest.raises(NumericalError, match=message):
                 select_c(tiny, 2, cv, EmConfig(), 3)
-            with pytest.raises(InvalidParameterError, match=message):
+            with pytest.raises(NumericalError, match=message):
                 score_c(tiny, 0.5, warm, cv, EmConfig())
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
@@ -475,7 +480,7 @@ class TestInvariantFailure:
             return outcomes
 
         monkeypatch.setattr(tuning, "_em_lanes", recording_kernel)
-        with pytest.raises(InvalidParameterError) as info:
+        with pytest.raises(NumericalError) as info:
             cv_loglik(tiny, warm, cv, EmConfig())
         assert info.value is seen["outcomes"][0]
         slot, _, c = seen["members"][0]
@@ -514,10 +519,10 @@ class TestInvariantFailure:
                 for k, (train, _) in enumerate(splits):
                     try:
                         run_em(data.subset(train), G, replace(spec, c=c), config, warm)
-                    except InvalidParameterError as exc:
-                        return j, k, str(exc)
                     except SingularComponentError:
                         pass
+                    except NumericalError as exc:
+                        return j, k, str(exc)
 
         j, k, message = oracle()
         broken.clear()
@@ -534,7 +539,7 @@ class TestInvariantFailure:
             return seen["outcomes"]
 
         monkeypatch.setattr(tuning, "_em_lanes", recording_kernel)
-        with pytest.raises(InvalidParameterError) as info:
+        with pytest.raises(NumericalError) as info:
             cv_loglik(data, warm, cv, config)
         assert str(info.value) == message
         assert info.value is seen["outcomes"][j * len(splits) + k]
