@@ -1,17 +1,12 @@
 """EM engine for the three estimators.
 
-Variants:
-  * ``hetn``  -- unconstrained, free per-component variances
-  * ``homn``  -- one shared variance across components
-  * ``conc``  -- per-component variances clamped to [target*sqrt(c), target/sqrt(c)]
-
-The constrained update recomputes its clamp target -- the pooled
-(homoscedastic) variance of the current iteration -- at every M-step, so the
-feasible interval shrinks and widens with the fit itself.  At c = 1 this
-collapses onto the homoscedastic update exactly; as c -> 0 the clamp becomes
-inactive and the heteroscedastic update is recovered.  The ``target_variance``
-stored in a ConstraintSpec seeds the starting values and the feasibility check
-of the initial guess.
+Variants, one variance rule: each component's responsibility-weighted mean
+squared residual is clamped to [target*sqrt(c), target/sqrt(c)], the target
+being the pooled (homoscedastic) variance of the same M-step, so the interval
+moves with the fit.  ``hetn`` is the clamp at c = 0, whose bounds 0 and +inf
+never bind; ``homn`` the clamp at c = 1, whose bounds are the target itself;
+``conc`` the clamp at its c in (0, 1].  The ``target_variance`` of a
+ConstraintSpec only seeds the starting values and the initial guess's check.
 
 There is one EM loop, the private lane kernel ``_em_lanes``.  It advances a
 batch of runs -- the starts of a pool, or every split x feasible c of a CV
@@ -363,23 +358,22 @@ def initialize(data: Dataset, G: int, spec: ConstraintSpec, seed) -> ModelParams
     raise SingularComponentError(None, f"no full-rank start partition in {_INIT_ATTEMPTS} tries")
 
 
-def _update_variances(ss, totals, n, variant, roots, shadows=None):
-    # Same arithmetic as m_step_variances, homoscedastic_variance and
-    # clamp_variances, for the (A, G) sums of squares of A members; roots
-    # holds each member's sqrt(c), 1 for HomN.  Given the (m,) roots of
-    # shadows, also flags (A, m) the shadows whose own clamp would bind.
+def _update_variances(ss, totals, n, roots, shadows=None):
+    # The one variance rule (module docstring) with the arithmetic of
+    # m_step_variances, homoscedastic_variance and clamp_variances, for the
+    # (A, G) sums of squares of A members at roots sqrt(c).  Root 1 clamps to
+    # the target (with G = 1 raw is the target); root 0 keeps raw whatever the
+    # target, even where 0 * target or target / 0 is NaN.  Given the (m,)
+    # roots of shadows, also flags (A, m) the shadows whose own clamp would bind.
     raw = ss / totals
-    if variant is Variant.HETN:
-        return raw, None
-    # The clamp target is the current pooled variance, recomputed every
-    # M-step.  HomN is the clamp at c = 1, whose bounds are exactly the target;
-    # with G = 1 every posterior is exactly 1, so raw is the target.
     target = ss.sum(axis=-1, keepdims=True) / n
     binds = None
     if shadows is not None:
         t, r = target[..., None], shadows[:, None]
         binds = ((raw[:, None] < t * r) | (raw[:, None] > t / r)).any(axis=-1)
-    return np.clip(raw, target * roots[:, None], target / roots[:, None]), binds
+    r = roots[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):    # bounds of root 0, unused
+        return np.clip(raw, target * r, target / r, out=raw, where=r > 0), binds
 
 
 def _feasible(params: ModelParams, c: float) -> bool:
@@ -387,23 +381,20 @@ def _feasible(params: ModelParams, c: float) -> bool:
     return not min_variance_ratio(params) < c * (1.0 - 1e-9)
 
 
-def _check_init(G: int, variant: Variant, c, init: ModelParams) -> None:
-    if init.n_components != G:
-        raise ValueError("init has wrong number of components")
-    if variant is Variant.CONC and not _feasible(init, c):
-        raise ValueError("constrained run requires a feasible initial guess "
-                         f"(variance ratio {min_variance_ratio(init):.3g} < c = {c:g})")
+def _clamp_c(spec: ConstraintSpec) -> float:
+    """The constant c of ``spec``'s variance rule: 0 for HetN, 1 for HomN."""
+    return {Variant.HETN: 0.0, Variant.HOMN: 1.0}.get(spec.variant, spec.c)
 
 
-def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
+def _em_lanes(samples, G: int, config: EmConfig, members,
               keep_history: bool = False, shadows=()) -> list:
     """The EM loop: advance a stream of members together, a bounded number at a time.
 
     ``samples`` holds one or more datasets of one size.  ``members`` yields
-    ``(slot, init, c)``: the member runs on ``samples[slot]`` from ``init``, c
-    being the constant of a constrained member; an exception in place of
-    ``init`` is that member's outcome.  Each of the ascending ``shadows``,
-    all above every c, adds a shadow member at that constant to each member.
+    ``(slot, init, c)``: the member runs on ``samples[slot]`` from ``init``,
+    unchecked, under the variance rule at c (HetN 0, HomN 1); an exception in
+    place of ``init`` is that member's outcome.  Each of the ascending
+    ``shadows``, all above every c, adds a shadow member at that constant.
     Every member and shadow runs to its end.  Returns their outcomes (a _Run,
     the SingularComponentError that stopped the run, or the NumericalError
     of a failed check) ordered by rank, then member, rank r > 0 being the
@@ -477,9 +468,8 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
             if isinstance(init, Exception):
                 outcomes.update(dict.fromkeys(range(key, key + m + 1), init))
                 continue
-            _check_init(G, variant, shadows[-1] if m else c, init)
             entering.append((key, slot, (init.weights, init.coefficients, init.variances), 0,
-                             [], [init] if keep_history else [], 1.0 if c is None else c, m))
+                             [], [init] if keep_history else [], c, m))
         if entering:
             ks, slots, params, its, traces, hists, cs, qs = zip(*entering)
             W, B, V = (np.array(p) for p in zip(*params))
@@ -508,7 +498,7 @@ def _em_lanes(samples, G: int, variant: Variant, config: EmConfig, members,
         ss = _weighted_ss(lane["p"], resid)
         live = m and lane["q"].any()
         variances, binds = _update_variances(
-            ss, totals, n, variant, lane["root"], roots if live else None)
+            ss, totals, n, lane["root"], roots if live else None)
         if live:
             # binding shadows fork, to re-run this M-step from the state the
             # leader started this iteration with
@@ -584,7 +574,15 @@ def run_em(
 
     The fit's ``stop_reason`` names it; the module docstring says when each holds.
     """
-    (outcome,) = _em_lanes([data], G, spec.variant, config, [(0, init, spec.c)], keep_history)
+    def member():   # checked as the kernel takes it, after its checks of G and the data
+        if init.n_components != G:
+            raise ValueError("init has wrong number of components")
+        if spec.variant is Variant.CONC and not _feasible(init, spec.c):
+            raise ValueError("constrained run requires a feasible initial guess "
+                             f"(variance ratio {min_variance_ratio(init):.3g} < c = {spec.c:g})")
+        yield 0, init, _clamp_c(spec)
+
+    (outcome,) = _em_lanes([data], G, config, member(), keep_history)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome.fit(data)
@@ -597,7 +595,7 @@ def _starts(data: Dataset, G: int, spec: ConstraintSpec, children):
             init = initialize(data, G, spec, child)
         except SingularComponentError as exc:
             init = exc
-        yield 0, init, spec.c
+        yield 0, init, _clamp_c(spec)
 
 
 def multi_start_fit(
@@ -622,7 +620,7 @@ def multi_start_fit(
         raise ValueError("n_starts must be >= 1")
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     starts = _starts(data, G, spec, base.spawn(n_starts))
-    outcomes = _em_lanes([data], G, spec.variant, config, starts)
+    outcomes = _em_lanes([data], G, config, starts)
     _raise_fatal(outcomes)
     runs = [i for i, res in enumerate(outcomes) if isinstance(res, _Run)]
     if not runs:

@@ -75,6 +75,8 @@ class CsvSchema:
         cols = tuple(self.regressor_columns)
         if self.response_column in cols:
             raise ValueError("response column cannot also be a regressor")
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
         object.__setattr__(self, "regressor_columns", cols)
 
 

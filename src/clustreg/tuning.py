@@ -32,7 +32,6 @@ from .em import (
     EmConfig,
     FitResult,
     SingularComponentError,
-    Variant,
     _em_lanes,
     _feasible,
     _raise_fatal,
@@ -153,7 +152,7 @@ def cv_loglik(
     K = len(splits)
     trains = [data.subset(train) for train, _ in splits]
     members = [(k, warm_start, cs[0]) for k in range(K)]
-    fits = _em_lanes(trains, warm_start.n_components, Variant.CONC, em, members, shadows=cs[1:])
+    fits = _em_lanes(trains, warm_start.n_components, em, members, shadows=cs[1:])
     _raise_fatal(fits)
     fallback = np.array([isinstance(fit, SingularComponentError) for fit in fits])
     models = [warm_start if failed else fit for fit, failed in zip(fits, fallback)]

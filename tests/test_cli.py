@@ -76,6 +76,15 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_multi_character_delimiter(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        code = run(["fit", "--input", str(data_csv), "--response", "y", "--regressors", "x",
+                    "--delimiter", ";;", "--components", "2", "--variant", "hetn",
+                    "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: delimiter must be one character, got ';;'\n"
+        assert not out.exists()
+
     def test_input_without_response(self, data_csv, tmp_path, capsys):
         code = run(["fit", "--input", str(data_csv), "--regressors", "x", "--components", "2",
                     "--variant", "hetn", "--output", str(tmp_path / "o.json")])
@@ -367,6 +376,19 @@ class TestDegenerate:
         err = capsys.readouterr().err
         assert err == "warn: best fit is degenerate (a component variance collapsed)\n"
         assert json.loads(out.read_text())["converged"] is False
+
+    def test_noise_free_line_through_origin(self, tmp_path, capsys):
+        # every residual is exactly 0: a degenerate fit (exit 3), not a failed one (exit 2)
+        x = np.array([1.0, 2.0, 3.0, 5.0, 7.0, 11.0])
+        path = tmp_path / "data.csv"
+        write_csv(Dataset(2 * x, x[:, None], ("x",)), path)
+        out = tmp_path / "fit.json"
+        code = run(["fit", "--variant", "hetn", "--no-intercept", "--input", str(path),
+                    "--response", "y", "--regressors", "x", "--components", "2",
+                    "--starts", "3", "--output", str(out)])
+        assert code == EXIT_DEGENERATE
+        assert capsys.readouterr().err == (
+            "warn: best fit is degenerate (a component variance collapsed)\n")
 
 
 class TestTune:

@@ -378,6 +378,33 @@ class TestClampVariances:
             clamp_variances(np.array([1.0]), ConstraintSpec.heteroscedastic())
 
 
+class TestUpdateVariances:
+    """The kernel's one variance rule: the clamp at c = 0 is HetN, at c = 1 HomN."""
+
+    # n = 20 observations per row; the middle row's residuals are all exactly 0
+    SS = np.array([[0.3, 1.7, 0.2], [0.0, 0.0, 0.0], [2.5, 0.1, 4.0]])
+    TOTALS = np.array([[10.0, 7.5, 2.5], [6.0, 9.0, 5.0], [3.0, 12.0, 5.0]])
+
+    def test_root_zero_is_the_raw_update(self):
+        variances, binds = em._update_variances(self.SS, self.TOTALS, 20, np.zeros(3))
+        assert variances.tobytes() == (self.SS / self.TOTALS).tobytes()
+        assert binds is None
+
+    def test_root_one_gives_every_component_the_pooled_target(self):
+        variances, _ = em._update_variances(self.SS, self.TOTALS, 20, np.ones(3))
+        target = self.SS.sum(axis=1) / 20
+        assert variances.tobytes() == np.repeat(target[:, None], 3, axis=1).tobytes()
+
+    def test_each_row_follows_its_own_root(self):
+        roots = np.array([math.sqrt(0.2), 0.0, 1.0])
+        variances, _ = em._update_variances(self.SS, self.TOTALS, 20, roots)
+        for a in range(len(roots)):
+            alone, _ = em._update_variances(self.SS[a:a + 1], self.TOTALS[a:a + 1], 20,
+                                            roots[a:a + 1])
+            assert variances[a].tobytes() == alone[0].tobytes()
+        assert variances[0].tobytes() != (self.SS[0] / self.TOTALS[0]).tobytes()
+
+
 class TestConstraintSpec:
     def test_bounds_satisfy_ratio(self):
         spec = ConstraintSpec.constrained(0.3, 2.5)
@@ -559,6 +586,15 @@ class TestRunEm:
         with pytest.raises(ValueError):
             run_em(data, 2, spec, EmConfig(), bad)
 
+    def test_homn_runs_from_unequal_variances(self):
+        # HomN is the clamp at c = 1, yet only a ConC init is checked for feasibility
+        data, _, _ = make_two_line_data(seed=18, n=40)
+        init = ModelParams(
+            np.array([0.5, 0.5]), np.array([[2.0, 3.0], [-1.0, -2.0]]), np.array([100.0, 1.0]))
+        fit = run_em(data, 2, ConstraintSpec.homoscedastic(), EmConfig(), init)
+        assert fit.iterations >= 1 and not fit.degenerate
+        assert fit.params.variances[0] == fit.params.variances[1]
+
     def test_fixed_point_consistency(self):
         data, _, _ = make_two_line_data(seed=19, n=80)
         config = EmConfig(tolerance=1e-10)
@@ -611,6 +647,50 @@ class TestEquivariance:
                 a * a * fit.params.variances
             )
             assert np.max(rel_v) < 1e-6
+
+
+SWAP_DATA = {name: io.load_benchmark(name).data for name in ("iris", "temperature")}
+SWAP_SPECS = {
+    "hetn": ConstraintSpec.heteroscedastic(),
+    "homn": ConstraintSpec.homoscedastic(),
+    "conc": ConstraintSpec.constrained(0.2, 1.0),
+}
+
+
+@settings(max_examples=20)
+@given(
+    name=st.sampled_from(sorted(SWAP_DATA)),
+    variant=st.sampled_from(sorted(SWAP_SPECS)),
+    seed=st.integers(0, 2**32 - 1),
+    weight=st.floats(0.2, 0.8),
+    spread=st.floats(1.0, 2.0),
+)
+def test_label_swap_equivariance(name, variant, seed, weight, spread):
+    # G = 2: a start with its components swapped ends in the swapped fit, bit for bit
+    data, spec = SWAP_DATA[name], SWAP_SPECS[variant]
+    base = initialize(data, 2, spec, seed)
+    init = ModelParams(np.array([weight, 1.0 - weight]), base.coefficients,
+                       base.variances * np.array([1.0, spread]))
+    swapped = ModelParams(init.weights[::-1], init.coefficients[::-1], init.variances[::-1])
+    fits = []
+    for start in (init, swapped):
+        try:
+            fits.append(run_em(data, 2, spec, EmConfig(), start))
+        except SingularComponentError as exc:
+            fits.append(exc)
+    fit, mirror = fits
+    assert type(fit) is type(mirror)
+    if isinstance(fit, Exception):
+        return
+    assert (mirror.stop_reason, mirror.iterations) == (fit.stop_reason, fit.iterations)
+    assert mirror.loglik_trace.tobytes() == fit.loglik_trace.tobytes()
+    for got, want in (
+        (mirror.params.weights, fit.params.weights[::-1]),
+        (mirror.params.coefficients, fit.params.coefficients[::-1]),
+        (mirror.params.variances, fit.params.variances[::-1]),
+        (mirror.responsibilities.probs, fit.responsibilities.probs[:, ::-1]),
+    ):
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestMultiStart:
@@ -737,6 +817,17 @@ class TestMultiStart:
         init = ModelParams(np.full(2, 0.5), np.array([[0.0, 0.3], [0.2, 0.3]]), np.ones(2))
         fit = run_em(line, 2, spec, EmConfig(), init)
         assert fit.degenerate and not fit.converged
+
+    @pytest.mark.parametrize("G", [1, 2])
+    def test_noise_free_line_through_origin_is_degenerate(self, G):
+        # every residual is exactly 0, so the pooled target is 0 as well: the
+        # HetN update must not form its unused clamp bounds 0 * 0 and 0 / 0
+        x = np.array([1.0, 2.0, 3.0, 5.0, 7.0, 11.0])
+        data = Dataset(2 * x, x[:, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = multi_start_fit(data, G, ConstraintSpec.heteroscedastic(), EmConfig(), 3, seed=0)
+        assert fit.degenerate
 
     def test_no_components_is_a_value_error(self):
         data, _, _ = make_two_line_data(seed=24, n=60)

@@ -90,6 +90,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="^response column cannot also be a regressor$"):
             CsvSchema(response_column="y", regressor_columns=("x", "y"))
 
+    @pytest.mark.parametrize("delimiter", [";;", "", None])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        with pytest.raises(ValueError, match="^delimiter must be one character, got "):
+            CsvSchema(response_column="y", delimiter=delimiter)
+
     @pytest.mark.parametrize("text, schema, message", [
         ("1,2\n3,4\n", CsvSchema(0, (5,), has_header=False),
          "regressor column index 5 out of range (file has 2 columns)"),

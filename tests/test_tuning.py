@@ -417,10 +417,10 @@ class TestMergedGrid:
         rows, forked = [], []
         real = em._update_variances
 
-        def counting(ss, totals, n, variant, roots, shadows=None):
+        def counting(ss, totals, n, roots, shadows=None):
             rows.append(ss.shape[0])
             forked.append((roots > roots.min()).any())
-            return real(ss, totals, n, variant, roots, shadows)
+            return real(ss, totals, n, roots, shadows)
 
         monkeypatch.setattr(em, "_update_variances", counting)
         cv_loglik(data, report.warm_start, cv, em_config)
@@ -473,9 +473,9 @@ class TestInvariantFailure:
         monkeypatch.setattr(em, "_LANE_BUDGET", 2 * 36 * 2)
         seen = {}
 
-        def recording_kernel(samples, G, variant, config, members, **kwargs):
+        def recording_kernel(samples, G, config, members, **kwargs):
             members = list(members)
-            outcomes = em._em_lanes(samples, G, variant, config, members, **kwargs)
+            outcomes = em._em_lanes(samples, G, config, members, **kwargs)
             seen.update(members=members, outcomes=outcomes)
             return outcomes
 
@@ -502,8 +502,8 @@ class TestInvariantFailure:
         roots, broken = np.sqrt(grid), []
         real = em._update_variances
 
-        def breaking(ss, totals, n, variant, lane_roots, shadows=None):
-            variances, binds = real(ss, totals, n, variant, lane_roots, shadows)
+        def breaking(ss, totals, n, lane_roots, shadows=None):
+            variances, binds = real(ss, totals, n, lane_roots, shadows)
             bad = ((variances != ss / totals).any(axis=1) & (lane_roots > roots[0])
                    & (ss.sum(axis=1) / n < 0.9 * target))
             if bad.any():
@@ -529,13 +529,13 @@ class TestInvariantFailure:
         monkeypatch.setattr(em, "_LANE_BUDGET", G * 54 * 2)
         seen, failures_before = {}, []
 
-        def recording_kernel(samples, G, variant, config, members, **kwargs):
+        def recording_kernel(samples, G, config, members, **kwargs):
             def source():
                 for member in members:
                     failures_before.append(len(broken))
                     yield member
 
-            seen["outcomes"] = em._em_lanes(samples, G, variant, config, source(), **kwargs)
+            seen["outcomes"] = em._em_lanes(samples, G, config, source(), **kwargs)
             return seen["outcomes"]
 
         monkeypatch.setattr(tuning, "_em_lanes", recording_kernel)
