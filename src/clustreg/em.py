@@ -30,8 +30,10 @@ SingularComponentError (singular M-step, no full-rank start) fails the
 member alone; ``_raise_fatal`` raises the first other one, in outcome order.
 Each per-run operation is the same floating-point arithmetic as a run on its
 own, so a result does not depend on its batch.  ``run_em`` is the one-member
-call.  The M-step's check, a 2-norm condition number above 1e12, is screened
-by a trace/determinant bound that changes no bit.
+call; ``_pool_outcomes`` runs multi-start pools on one sample as one batch,
+and ``multi_start_fit`` is its one-pool call.  The M-step's check, a 2-norm
+condition number above 1e12, is screened by a trace/determinant bound that
+changes no bit.
 
 Members that differ only in a larger c share a lane: until its clamp first
 binds, such a member repeats bit for bit the steps at the smallest c, since
@@ -44,6 +46,7 @@ re-runs that M-step.  A leader's outcome is its shadows' outcome.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
+    _E_STEP_ERRORS,
     _PARAM_FAULTS,
     Dataset,
     ModelParams,
@@ -247,7 +251,6 @@ def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarra
     A = XZ @ Xt.swapaxes(-1, -2)                  # (A, G, J, J)
     b = np.einsum("...jn,...n->...j", XZ, y)      # (A, G, J)
     bad = totals < J
-    conds = np.zeros(bad.shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # A positive-definite matrix has cond <= tr**J / det.  One with a normal det and
         # the bound 100 times under the limit passes; eigvalsh decides all others.
@@ -255,9 +258,12 @@ def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarra
         check = ~((0.0 < tr) & (_TINY <= det) & (det < math.inf)
                   & (tr ** J / det <= 1e-2 * _COND_LIMIT))
         if check.any():
+            conds = np.zeros(bad.shape)
             eig = np.abs(np.linalg.eigvalsh(A[check]))
             conds[check] = eig.max(axis=-1) / eig.min(axis=-1)
             bad |= ~(conds <= _COND_LIMIT)
+    if not bad.any():               # the usual case: every matrix passes
+        return np.linalg.solve(A, b[..., None])[..., 0], []
     failures = []
     for a, g in zip(*bad.nonzero()):
         if failures and failures[-1][0] == a:
@@ -267,8 +273,7 @@ def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarra
         else:
             reason = f"condition number {conds[a, g]:.3g}"
         failures.append((a, SingularComponentError(int(g), reason)))
-    if failures:    # LAPACK solves each matrix alone: others' bits stay as they are
-        A[bad] = np.eye(J)
+    A[bad] = np.eye(J)      # LAPACK solves each matrix alone: others' bits stay as they are
     return np.linalg.solve(A, b[..., None])[..., 0], failures
 
 
@@ -289,8 +294,9 @@ def m_step_betas(data: Dataset, resp: Responsibilities) -> np.ndarray:
     return betas[0]
 
 
-def _weighted_ss(Z: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    return np.einsum("...n,...n->...", Z, resid * resid)
+def _weighted_ss(Z: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Responsibility-weighted sums of the squared residuals ``sq``."""
+    return np.einsum("...n,...n->...", Z, sq)
 
 
 def _require_mass(totals: np.ndarray) -> None:
@@ -303,15 +309,16 @@ def m_step_variances(data: Dataset, resp: Responsibilities, betas: np.ndarray) -
     Z = resp.probs.T
     totals = Z.sum(axis=1)
     _require_mass(totals)
-    return _weighted_ss(Z, _residuals(data, np.asarray(betas))) / totals
+    resid = _residuals(data, np.asarray(betas))
+    return _weighted_ss(Z, resid * resid) / totals
 
 
 def homoscedastic_variance(data: Dataset, resp: Responsibilities, betas: np.ndarray) -> float:
     """Pooled variance: (1/n) sum over observations and components of z * residual^2."""
     Z = resp.probs.T
     _require_mass(Z.sum(axis=1))
-    ss = _weighted_ss(Z, _residuals(data, np.asarray(betas)))
-    return float(ss.sum() / data.n)
+    resid = _residuals(data, np.asarray(betas))
+    return float(_weighted_ss(Z, resid * resid).sum() / data.n)
 
 
 def clamp_variances(raw: np.ndarray, spec: ConstraintSpec) -> np.ndarray:
@@ -473,7 +480,9 @@ def _em_lanes(samples, G: int, config: EmConfig, members,
         if entering:
             ks, slots, params, its, traces, hists, cs, qs = zip(*entering)
             W, B, V = (np.array(p) for p in zip(*params))
-            ll, P, _ = _e_step_arrays(residuals(np.array(slots), B), W, V)
+            resid = residuals(np.array(slots), B)
+            with np.errstate(**_E_STEP_ERRORS):
+                ll, P, _ = _e_step_arrays(resid * resid, W, V)
             for k, trace, hist, v in zip(ks, traces, hists, ll.tolist()):
                 trace.append(v)
                 logs[k] = trace, hist
@@ -494,8 +503,9 @@ def _em_lanes(samples, G: int, config: EmConfig, members,
                 leave(a, exc)
                 ok[a] = False
             totals, weights, betas = keep(ok, totals, weights, betas)
-        resid = residuals(lane["slot"], betas)
-        ss = _weighted_ss(lane["p"], resid)
+        sq = residuals(lane["slot"], betas)
+        sq *= sq                # squared residuals, read by the variance update and the E-step
+        ss = _weighted_ss(lane["p"], sq)
         live = m and lane["q"].any()
         variances, binds = _update_variances(
             ss, totals, n, lane["root"], roots if live else None)
@@ -523,17 +533,18 @@ def _em_lanes(samples, G: int, config: EmConfig, members,
         if (faults >= 0).any():
             for a in np.flatnonzero(faults >= 0):
                 leave(a, NumericalError(_PARAM_FAULTS[faults[a]]))
-            weights, betas, variances, resid, degenerate = keep(
-                faults < 0, weights, betas, variances, resid, degenerate)
+            weights, betas, variances, sq, degenerate = keep(
+                faults < 0, weights, betas, variances, sq, degenerate)
         lane["it"] += 1
 
         # E-step, then each ending run's stop: the index in STOP_REASONS of
         # the first reason that holds.  The moving clamp target makes the
         # constrained update an inexact maximization; a step that lowers the
-        # objective is rejected and ends the run before it.
-        ll, P, _ = _e_step_arrays(resid, weights, variances)
+        # objective is rejected and ends the run before it.  One error state
+        # covers both: the E-step's, and -inf minus -inf in the tolerance test.
         old = lane["ll"]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", **_E_STEP_ERRORS):
+            ll, P, _ = _e_step_arrays(sq, weights, variances)
             met = np.isfinite(ll) & (abs(ll - old) <= config.tolerance * (1.0 + abs(ll)))
         dropped, over = ll < old, lane["it"] >= config.max_iterations
         ended = degenerate | dropped | met | over
@@ -598,6 +609,36 @@ def _starts(data: Dataset, G: int, spec: ConstraintSpec, children):
         yield 0, init, _clamp_c(spec)
 
 
+def _pool_outcomes(data: Dataset, G: int, config: EmConfig, pools) -> list:
+    """Run multi-start pools on ``data`` as one kernel batch.
+
+    ``pools`` holds ``(spec, n_starts, seed)`` triples; each pool's starts
+    own streams spawned from its seed, as in ``multi_start_fit``.  Returns
+    each pool's kernel outcomes, in start order.
+    """
+    starts = []
+    for spec, n_starts, seed in pools:
+        if n_starts < 1:
+            raise ValueError("n_starts must be >= 1")
+        base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        starts.append(_starts(data, G, spec, base.spawn(n_starts)))
+    outcomes = iter(_em_lanes([data], G, config, itertools.chain(*starts)))
+    return [list(itertools.islice(outcomes, n_starts)) for _, n_starts, _ in pools]
+
+
+def _pool_winner(outcomes) -> int:
+    """Index of a pool's winning start (rule: ``multi_start_fit``); raises if it has none."""
+    _raise_fatal(outcomes)
+    runs = [i for i, res in enumerate(outcomes) if isinstance(res, _Run)]
+    if not runs:
+        reasons = [str(e) for e in outcomes]    # each once, in order of first failure
+        raise SingularComponentError(None, f"all {len(outcomes)} starts failed: " + "; ".join(
+            f"{r} ({reasons.count(r)} start{'s' * (reasons.count(r) > 1)})"
+            for r in dict.fromkeys(reasons)))
+    return min(runs, key=lambda i: (outcomes[i].stop_reason == "degenerate",
+                                    -outcomes[i].loglik, i))
+
+
 def multi_start_fit(
     data: Dataset,
     G: int,
@@ -616,20 +657,8 @@ def multi_start_fit(
     outcome (module docstring) is raised; if every start fails, a
     SingularComponentError lists each reason once with its count.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    starts = _starts(data, G, spec, base.spawn(n_starts))
-    outcomes = _em_lanes([data], G, config, starts)
-    _raise_fatal(outcomes)
-    runs = [i for i, res in enumerate(outcomes) if isinstance(res, _Run)]
-    if not runs:
-        reasons = [str(e) for e in outcomes]    # each once, in order of first failure
-        raise SingularComponentError(None, f"all {n_starts} starts failed: " + "; ".join(
-            f"{r} ({reasons.count(r)} start{'s' * (reasons.count(r) > 1)})"
-            for r in dict.fromkeys(reasons)))
-    winner = min(runs, key=lambda i: (outcomes[i].stop_reason == "degenerate",
-                                      -outcomes[i].loglik, i))
+    (outcomes,) = _pool_outcomes(data, G, config, [(spec, n_starts, seed)])
+    winner = _pool_winner(outcomes)
     if not return_all:
         return outcomes[winner].fit(data)
     # in place, so each start's raw arrays are freed as its FitResult is built

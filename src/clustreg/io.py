@@ -400,7 +400,7 @@ def study_from_document(doc: dict) -> StudyConfig:
 def write_study_csv(rows, path) -> None:
     """Aggregate study report, one row per (scenario, estimator) cell."""
     _write_rows(path, [STUDY_COLUMNS] + [
-        [row[col] if col in ("scenario", "estimator") else repr(float(row[col]))
+        [str(row[col]) if col in ("scenario", "estimator", "n_failed") else repr(float(row[col]))
          for col in STUDY_COLUMNS]
         for row in rows
     ])

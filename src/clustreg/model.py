@@ -200,26 +200,34 @@ def _residuals(data: Dataset, coefficients: np.ndarray) -> np.ndarray:
     return _residual_rows(data.responses, data.design, coefficients)
 
 
-def _log_density(resid, weights, variances):
-    # a zero weight or an overflowing residual square is a -inf density: underflow
-    with np.errstate(divide="ignore", over="ignore"):
-        const = np.log(weights) - 0.5 * np.log(2.0 * np.pi * variances)
-        return const[..., None] - resid * resid / (2.0 * variances)[..., None]
+# The E-step's error state, entered by the callers of _log_density and
+# _e_step_arrays: a zero weight or an overflowing residual square is a -inf
+# density, i.e. underflow.
+_E_STEP_ERRORS = dict(divide="ignore", over="ignore")
+
+
+def _log_density(sq, weights, variances):
+    # from squared residuals; the caller holds _E_STEP_ERRORS
+    const = np.log(weights) - 0.5 * np.log(2.0 * np.pi * variances)
+    return const[..., None] - sq / (2.0 * variances)[..., None]
 
 
 def log_density_matrix(data: Dataset, params: ModelParams) -> np.ndarray:
     """Matrix of log(p_g) + log f_g(y_i | x_i), shape (n, G)."""
-    return _log_density(_residuals(data, params.coefficients), params.weights, params.variances).T
+    resid = _residuals(data, params.coefficients)
+    with np.errstate(**_E_STEP_ERRORS):
+        return _log_density(resid * resid, params.weights, params.variances).T
 
 
-def _e_step_arrays(resid, weights, variances):
+def _e_step_arrays(sq, weights, variances):
     """Max-shifted log-sum-exp pass: (loglik, (..., G, n) posteriors, (..., n) underflow mask).
 
-    Leading member axes are kept; loglik has their shape.  Observations whose
-    mixture density underflows to zero for every component get a uniform 1/G
-    posterior and make their member's log-likelihood -inf.
+    From the squared residuals ``sq``, squared by the caller, which also holds
+    ``_E_STEP_ERRORS``.  Leading member axes are kept; loglik has their shape.
+    Observations whose mixture density underflows to zero for every component
+    get a uniform 1/G posterior and make their member's log-likelihood -inf.
     """
-    L = _log_density(resid, weights, variances)
+    L = _log_density(sq, weights, variances)
     shift = L.max(axis=-2)
     bad = shift == -np.inf
     underflow = bad.any(axis=-1)
@@ -242,7 +250,8 @@ _UNDERFLOW_WARNING = (
 def log_likelihood(data: Dataset, params: ModelParams) -> float:
     """Sample log-likelihood, stabilized per observation by max subtraction."""
     resid = _residuals(data, params.coefficients)
-    loglik, _, bad = _e_step_arrays(resid, params.weights, params.variances)
+    with np.errstate(**_E_STEP_ERRORS):
+        loglik, _, bad = _e_step_arrays(resid * resid, params.weights, params.variances)
     if bad.any():
         warnings.warn(_UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
     return float(loglik)
@@ -255,7 +264,8 @@ def posterior_probs(data: Dataset, params: ModelParams) -> Responsibilities:
     get a uniform 1/G row and are flagged in ``underflow``.
     """
     resid = _residuals(data, params.coefficients)
-    _, P, bad = _e_step_arrays(resid, params.weights, params.variances)
+    with np.errstate(**_E_STEP_ERRORS):
+        _, P, bad = _e_step_arrays(resid * resid, params.weights, params.variances)
     return Responsibilities(P.T, underflow=bad)
 
 

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
+    _E_STEP_ERRORS,
     _UNDERFLOW_WARNING,
     Dataset,
     ModelParams,
@@ -161,7 +162,8 @@ def cv_loglik(
     variances = np.array([m.variances for m in models])
     test = np.array([t for _, t in splits])[np.tile(np.arange(K), len(cs))]
     resid = _residual_rows(data.responses[test][:, None, :], data.design[test], coefficients)
-    loglik, _, bad = _e_step_arrays(resid, weights, variances)
+    with np.errstate(**_E_STEP_ERRORS):
+        loglik, _, bad = _e_step_arrays(resid * resid, weights, variances)
     if bad.any():
         warnings.warn(_UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
     # cumsum adds the splits one by one in split order, as a running total
@@ -171,27 +173,34 @@ def cv_loglik(
     return tuple(map(CvRow, cs, totals.tolist(), counts.tolist())) + infeasible
 
 
+def _target_pool(seed):
+    """(spec, seed) of ConC's target pool: a HomN pool on its own stream of ``seed``."""
+    return ConstraintSpec.homoscedastic(), np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+
+
 def _estimate_target(data: Dataset, G: int, seed, em: EmConfig, n_starts: int) -> float:
     """Homoscedastic variance of a preliminary pool, the clamp target of ConC."""
-    hom = multi_start_fit(
-        data, G, ConstraintSpec.homoscedastic(), em, n_starts,
-        seed=np.random.SeedSequence(entropy=seed, spawn_key=(0,)),
-    )
+    spec, pool_seed = _target_pool(seed)
+    hom = multi_start_fit(data, G, spec, em, n_starts, seed=pool_seed)
     return float(hom.params.variances[0])
 
 
-def select_c(data: Dataset, G: int, cv: CvConfig, em: EmConfig, n_starts: int) -> CvReport:
+def select_c(data: Dataset, G: int, cv: CvConfig, em: EmConfig, n_starts: int,
+             target: float = None) -> CvReport:
     """Grid search for c maximizing the cross-validated log-likelihood.
 
     The homoscedastic target is estimated once from a preliminary multi-start
-    fit.  A single temporary estimate — a full-sample multi-start fit at the
+    fit, unless ``target`` gives it already (the winner of ``_target_pool`` on
+    ``cv.seed``, as a study replication trains it alongside its other pools).
+    A single temporary estimate — a full-sample multi-start fit at the
     smallest (least constrained) grid value — provides the starting values
     for all training fits, and every candidate sees the same split sequence
     (common random numbers); ``cv_loglik`` scores the grid, a candidate above
     the temporary estimate's variance ratio at -inf.  Ties break toward the
     largest c.
     """
-    target = _estimate_target(data, G, cv.seed, em, n_starts)
+    if target is None:
+        target = _estimate_target(data, G, cv.seed, em, n_starts)
     warm = multi_start_fit(
         data, G, ConstraintSpec.constrained(cv.c_grid[0], target), em, n_starts,
         seed=np.random.SeedSequence(entropy=cv.seed, spawn_key=(1,)),
@@ -211,9 +220,13 @@ def fit_conc(
     cv: CvConfig,
     em: EmConfig,
     n_starts: int,
+    target: float = None,
 ) -> tuple[FitResult, CvReport]:
-    """Select c by cross-validation, then refit on the full sample at that c."""
-    report = select_c(data, G, cv, em, n_starts)
+    """Select c by cross-validation, then refit on the full sample at that c.
+
+    ``target``, when given, is the clamp target already estimated (``select_c``).
+    """
+    report = select_c(data, G, cv, em, n_starts, target)
     spec = ConstraintSpec.constrained(report.selected_c, report.target_variance)
     final = multi_start_fit(
         data, G, spec, em, n_starts,

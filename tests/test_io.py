@@ -299,11 +299,20 @@ class TestStudyCsv:
         p = tmp_path / "study.csv"
         write_study_csv(rows, p)
         lines = p.read_text().splitlines()
-        assert lines[0] == "scenario,estimator,mse_beta,mse_sigma,adj_rand,time_s,mean_c"
+        assert lines[0] == "scenario,estimator,mse_beta,mse_sigma,adj_rand,time_s,mean_c,n_failed"
         fields = lines[1].split(",")
         assert fields[0] == "s1"
         assert float(fields[2]) == 0.1
         assert fields[6] == "nan"
+        assert fields[7] == "0"
+
+    def test_all_failed_cell_says_why_it_is_nan(self, tmp_path):
+        rows = [{"scenario": "flat", "estimator": "conc", "mse_beta": float("nan"),
+                 "mse_sigma": float("nan"), "adj_rand": float("nan"),
+                 "time_s": float("nan"), "mean_c": float("nan"), "n_failed": 2}]
+        p = tmp_path / "study.csv"
+        write_study_csv(rows, p)
+        assert p.read_text().splitlines()[1] == "flat,conc,nan,nan,nan,nan,nan,2"
 
 
 class TestPlotData:

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from clustreg import (
+    ConstraintSpec,
     CvConfig,
     EmConfig,
     ScenarioSpec,
@@ -14,9 +16,12 @@ from clustreg import (
     adjusted_rand,
     draw_inverse_gamma,
     draw_scenario,
+    fit_conc,
+    multi_start_fit,
+    param_mse,
     run_study,
 )
-from clustreg import simulate
+from clustreg import em, simulate, tuning
 
 
 class TestScenarioSpec:
@@ -290,3 +295,91 @@ class TestRunStudy:
         rows = run_study(self._config(scenarios=(s1, s2), replications=2))
         assert len(rows) == 4
         assert {row["scenario"] for row in rows} == {s1.name, s2.name}
+
+
+# the criterion-6 cell
+CELL = ScenarioSpec(n=100, G=2, mixing=(0.5, 0.5), intercepts=(4.0, 9.0))
+
+
+def _replications(config):
+    """Each replication of a one-scenario study as run_study draws it.
+
+    Yields (replication, data, truth, labels, rep_seed).
+    """
+    for rep in range(config.replications):
+        ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(0, rep))
+        rng = np.random.default_rng(ss.spawn(1)[0])
+        data, truth, labels = draw_scenario(config.scenarios[0], rng)
+        yield rep, data, truth, labels, int(ss.generate_state(1)[0])
+
+
+def _without_time(records):
+    return [{k: v for k, v in r.items() if k != "time_s"} for r in records]
+
+
+class TestSharedFirstStage:
+    """A replication trains HomN's, HetN's and ConC's target pool in one kernel batch."""
+
+    @pytest.mark.parametrize("estimators", [
+        (Variant.CONC,), (Variant.HETN, Variant.CONC), (Variant.CONC, Variant.HOMN, Variant.HETN),
+    ], ids=["conc", "hetn-conc", "conc-homn-hetn"])
+    def test_records_equal_one_estimator_at_a_time(self, estimators):
+        config = StudyConfig(scenarios=(CELL,), replications=5, n_starts=10,
+                             estimators=estimators, seed=2026)
+        want = []
+        for rep, data, truth, labels, rep_seed in _replications(config):
+            for variant in estimators:
+                if variant is Variant.CONC:
+                    fit, report = fit_conc(data, CELL.G, replace(config.cv, seed=rep_seed),
+                                           config.em, config.n_starts)
+                    c = report.selected_c
+                else:
+                    fit = multi_start_fit(data, CELL.G, ConstraintSpec(variant), config.em,
+                                          config.n_starts, seed=rep_seed)
+                    c = None
+                mse = param_mse(truth, fit.params)
+                want.append({
+                    "scenario": CELL.name, "replication": rep, "estimator": variant.value,
+                    "mse_beta": mse.avg_mse_beta, "mse_sigma": mse.avg_mse_sigma,
+                    "adj_rand": adjusted_rand(labels, fit.labels), "c": c,
+                    "degenerate": fit.degenerate,
+                })
+        _, records = run_study(config, keep_replications=True)
+        assert _without_time(records) == want
+
+    def test_failed_target_pool_fails_only_conc(self, monkeypatch):
+        config = StudyConfig(scenarios=(CELL,), replications=2, n_starts=3,
+                             estimators=(Variant.HOMN, Variant.HETN, Variant.CONC),
+                             cv=CvConfig(n_repeats=2, c_grid=(0.1, 1.0)), seed=7)
+        seeds = [rep_seed for *_, rep_seed in _replications(config)]
+        initialize = em.initialize
+
+        def failing(data, G, spec, seed):
+            # every start of replication 1's target pool: streams (0, i) of its seed
+            if seed.entropy == seeds[1] and len(seed.spawn_key) == 2 and seed.spawn_key[0] == 0:
+                raise SingularComponentError(None, "no start")
+            return initialize(data, G, spec, seed)
+
+        _, intact = run_study(config, keep_replications=True)
+        monkeypatch.setattr(em, "initialize", failing)
+        rows, records = run_study(config, keep_replications=True)
+        assert [(row["estimator"], row["n_failed"]) for row in rows] == [
+            ("homn", 0), ("hetn", 0), ("conc", 1)]
+        assert _without_time(records) == _without_time(intact[:-1])
+        assert intact[-1]["replication"] == 1 and intact[-1]["estimator"] == "conc"
+
+    def test_one_replication_makes_four_kernel_calls(self, monkeypatch):
+        # the shared batch, then ConC's warm pool, CV grid and final pool
+        lanes, calls = em._em_lanes, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lanes(*args, **kwargs)
+
+        monkeypatch.setattr(em, "_em_lanes", counting)
+        monkeypatch.setattr(tuning, "_em_lanes", counting)
+        config = StudyConfig(scenarios=(CELL,), replications=1, n_starts=10,
+                             estimators=(Variant.HOMN, Variant.HETN, Variant.CONC), seed=2026)
+        rows = run_study(config)
+        assert [row["n_failed"] for row in rows] == [0, 0, 0]
+        assert len(calls) == 4
