@@ -5,7 +5,6 @@ from .model import (
     ModelParams,
     Responsibilities,
     InvalidParameterError,
-    component_density,
     log_likelihood,
     posterior_probs,
     classify,
@@ -19,7 +18,6 @@ from .em import (
     STOP_REASONS,
     SingularComponentError,
     NumericalError,
-    m_step_weights,
     m_step_betas,
     m_step_variances,
     homoscedastic_variance,

@@ -78,7 +78,6 @@ __all__ = [
     "STOP_REASONS",
     "SingularComponentError",
     "NumericalError",
-    "m_step_weights",
     "m_step_betas",
     "m_step_variances",
     "homoscedastic_variance",
@@ -149,14 +148,6 @@ class ConstraintSpec:
     def constrained(cls, c: float, target_variance: float) -> "ConstraintSpec":
         return cls(Variant.CONC, c=c, target_variance=target_variance)
 
-    @property
-    def lower(self) -> float:
-        return self.target_variance * math.sqrt(self.c)
-
-    @property
-    def upper(self) -> float:
-        return self.target_variance / math.sqrt(self.c)
-
 
 @dataclass(frozen=True)
 class EmConfig:
@@ -196,7 +187,6 @@ class FitResult:
     responsibilities: Responsibilities
     stop_reason: str            # one of STOP_REASONS
     iterations: int
-    param_history: tuple = ()   # per-iteration ModelParams when requested
 
     converged = property(lambda self: self.stop_reason == "tolerance")
     degenerate = property(lambda self: self.stop_reason == "degenerate")
@@ -218,17 +208,11 @@ class _Run(NamedTuple):
     trace: list
     stop_reason: str
     iterations: int
-    history: tuple
 
     def fit(self, data: Dataset) -> FitResult:
         params = ModelParams(self.weights, self.coefficients, self.variances)
         return FitResult(params, self.loglik, np.array(self.trace), posterior_probs(data, params),
-                         self.stop_reason, self.iterations, self.history)
-
-
-def m_step_weights(resp: Responsibilities) -> np.ndarray:
-    """Mixing proportions: column means of the responsibilities."""
-    return resp.probs.mean(axis=0)
+                         self.stop_reason, self.iterations)
 
 
 def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarray):
@@ -325,7 +309,9 @@ def clamp_variances(raw: np.ndarray, spec: ConstraintSpec) -> np.ndarray:
     """Clamp raw variance updates into [target*sqrt(c), target/sqrt(c)]."""
     if spec.variant is not Variant.CONC:
         raise ValueError("clamp_variances applies to the constrained variant only")
-    return np.clip(np.asarray(raw, dtype=float), spec.lower, spec.upper)
+    root = math.sqrt(spec.c)
+    return np.clip(np.asarray(raw, dtype=float), spec.target_variance * root,
+                   spec.target_variance / root)
 
 
 def initialize(data: Dataset, G: int, spec: ConstraintSpec, seed) -> ModelParams:
@@ -393,8 +379,7 @@ def _clamp_c(spec: ConstraintSpec) -> float:
     return {Variant.HETN: 0.0, Variant.HOMN: 1.0}.get(spec.variant, spec.c)
 
 
-def _em_lanes(samples, G: int, config: EmConfig, members,
-              keep_history: bool = False, shadows=()) -> list:
+def _em_lanes(samples, G: int, config: EmConfig, members, shadows=()) -> list:
     """The EM loop: advance a stream of members together, a bounded number at a time.
 
     ``samples`` holds one or more datasets of one size.  ``members`` yields
@@ -432,8 +417,9 @@ def _em_lanes(samples, G: int, config: EmConfig, members,
     roots, m = np.sqrt(shadows), len(shadows)
     source = iter(members)
     # A run's key is (m + 1) * member index + rank, so a run carrying q
-    # shadows stands for keys key..key+q.  By key: outcomes, the (trace,
-    # history) of each run in a lane, and the entry of each waiting fork.
+    # shadows stands for keys key..key+q.  By key: outcomes, the
+    # log-likelihood trace of each run in a lane, and the entry of each
+    # waiting fork.
     outcomes, logs, forks = {}, {}, {}
     taken = 0         # members taken from the source
     # Lane state, one row per run in logs: key, slot (its sample), w/b/v
@@ -443,12 +429,12 @@ def _em_lanes(samples, G: int, config: EmConfig, members,
 
     def leave(a, outcome):
         k = int(lane["key"][a])
-        trace, hist = logs.pop(k)
+        trace = logs.pop(k)
         if isinstance(outcome, str):
             # copies, so an outcome does not hold the whole batch's arrays
             outcome = _Run(
                 lane["w"][a].copy(), lane["b"][a].copy(), lane["v"][a].copy(),
-                float(lane["ll"][a]), trace, outcome, int(lane["it"][a]), tuple(hist),
+                float(lane["ll"][a]), trace, outcome, int(lane["it"][a]),
             )
         outcomes.update(dict.fromkeys(range(k, k + int(lane["q"][a]) + 1), outcome))
 
@@ -459,7 +445,7 @@ def _em_lanes(samples, G: int, config: EmConfig, members,
 
     while True:
         # refill: waiting forks first, in key order, then new members.  Both
-        # enter as (key, slot, parameters, iterations, trace, history, c, q)
+        # enter as (key, slot, parameters, iterations, trace, c, q)
         # through the first E-step, which gives a fork back bit for bit the
         # posteriors and log-likelihood it left with.
         entering = []
@@ -476,16 +462,16 @@ def _em_lanes(samples, G: int, config: EmConfig, members,
                 outcomes.update(dict.fromkeys(range(key, key + m + 1), init))
                 continue
             entering.append((key, slot, (init.weights, init.coefficients, init.variances), 0,
-                             [], [init] if keep_history else [], c, m))
+                             [], c, m))
         if entering:
-            ks, slots, params, its, traces, hists, cs, qs = zip(*entering)
+            ks, slots, params, its, traces, cs, qs = zip(*entering)
             W, B, V = (np.array(p) for p in zip(*params))
             resid = residuals(np.array(slots), B)
             with np.errstate(**_E_STEP_ERRORS):
                 ll, P, _ = _e_step_arrays(resid * resid, W, V)
-            for k, trace, hist, v in zip(ks, traces, hists, ll.tolist()):
+            for k, trace, v in zip(ks, traces, ll.tolist()):
                 trace.append(v)
-                logs[k] = trace, hist
+                logs[k] = trace
             new = dict(key=np.array(ks), slot=np.array(slots), w=W, b=B, v=V, p=P, ll=ll,
                        it=np.array(its, dtype=np.intp), root=np.sqrt(cs), q=np.array(qs))
             lane = {f: np.concatenate([lane[f], new[f]]) for f in new} if lane else new
@@ -515,12 +501,10 @@ def _em_lanes(samples, G: int, config: EmConfig, members,
             binds &= np.arange(m) < lane["q"][:, None]
             for a in np.flatnonzero(binds.any(axis=1)):
                 k, first = int(lane["key"][a]), int(binds[a].argmax())
-                trace, hist = logs[k]
                 slot, it = int(lane["slot"][a]), int(lane["it"][a])
                 params = lane["w"][a], lane["b"][a], lane["v"][a]
                 for r in range(first + 1, int(lane["q"][a]) + 1):
-                    forks[k + r] = (k + r, slot, params, it, trace[:-1], hist[:],
-                                    shadows[r - 1], 0)
+                    forks[k + r] = (k + r, slot, params, it, logs[k][:-1], shadows[r - 1], 0)
                 lane["q"][a] = first
         # a member with a variance below its sample's floor leaves degenerate
         degenerate = variances.min(axis=-1) < rows(floors, lane["slot"])
@@ -555,11 +539,9 @@ def _em_lanes(samples, G: int, config: EmConfig, members,
             for a in np.flatnonzero(rejected):
                 leave(a, "rejected_step")
         lane.update(w=weights, b=betas, v=variances, p=P, ll=ll)
-        for a, (k, v) in enumerate(zip(lane["key"].tolist(), ll.tolist())):
+        for k, v in zip(lane["key"].tolist(), ll.tolist()):
             if k in logs:         # a rejected run has left
-                logs[k][0].append(v)
-                if keep_history:
-                    logs[k][1].append(ModelParams(weights[a], betas[a], variances[a]))
+                logs[k].append(v)
         if stopping:
             for a in np.flatnonzero(ended & ~rejected):
                 leave(a, STOP_REASONS[stop[a]])
@@ -579,7 +561,6 @@ def run_em(
     spec: ConstraintSpec,
     config: EmConfig,
     init: ModelParams,
-    keep_history: bool = False,
 ) -> FitResult:
     """Iterate E and M steps from ``init`` until one of ``STOP_REASONS`` holds.
 
@@ -593,7 +574,7 @@ def run_em(
                              f"(variance ratio {min_variance_ratio(init):.3g} < c = {spec.c:g})")
         yield 0, init, _clamp_c(spec)
 
-    (outcome,) = _em_lanes([data], G, config, member(), keep_history)
+    (outcome,) = _em_lanes([data], G, config, member())
     if isinstance(outcome, Exception):
         raise outcome
     return outcome.fit(data)

@@ -17,7 +17,6 @@ __all__ = [
     "ModelParams",
     "Responsibilities",
     "InvalidParameterError",
-    "component_density",
     "log_likelihood",
     "posterior_probs",
     "classify",
@@ -88,6 +87,8 @@ class Dataset:
             raise ValueError("responses must be 1-d and design 2-d")
         if y.shape[0] < 1:
             raise ValueError("need at least one observation")
+        if X.shape[1] < 1:
+            raise ValueError("design has no columns: an intercept or a regressor is needed")
         if X.shape[0] != y.shape[0]:
             raise ValueError(
                 f"design has {X.shape[0]} rows but there are {y.shape[0]} responses"
@@ -171,18 +172,6 @@ class Responsibilities:
         under = _as_readonly(under, dtype=bool)
         object.__setattr__(self, "probs", P)
         object.__setattr__(self, "underflow", under)
-
-
-def component_density(y: float, x, beta, sigma2: float) -> float:
-    """Normal regression density of y given x under one component."""
-    if sigma2 <= 0:
-        raise InvalidParameterError(f"sigma2 must be positive, got {sigma2}")
-    x = np.asarray(x, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if x.shape != beta.shape:
-        raise ValueError("x and beta must have the same length")
-    resid = y - x @ beta
-    return float(np.exp(-0.5 * np.log(2.0 * np.pi * sigma2) - resid * resid / (2.0 * sigma2)))
 
 
 def _residual_rows(responses, design, coefficients):

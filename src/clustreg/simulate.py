@@ -142,23 +142,18 @@ def _first_stage(data, G, config, rep_seed) -> dict:
     """Each estimator's first pool, all in one kernel batch: its outcomes, by estimator.
 
     HomN and HetN fit their pool on ``rep_seed``; ConC's first pool is its
-    target pool.  A NumericalError of the kernel's check of the data stands
-    for every pool.
+    target pool.  The kernel's check of the data raises a NumericalError,
+    which fails every pool.
     """
     specs = {v: (ConstraintSpec(v), rep_seed) for v in (Variant.HOMN, Variant.HETN)}
     specs[Variant.CONC] = _target_pool(rep_seed)
     variants = tuple(dict.fromkeys(config.estimators))
     pools = [(spec, config.n_starts, seed) for spec, seed in map(specs.get, variants)]
-    try:
-        return dict(zip(variants, _pool_outcomes(data, G, config.em, pools)))
-    except NumericalError as exc:
-        return dict.fromkeys(variants, exc)
+    return dict(zip(variants, _pool_outcomes(data, G, config.em, pools)))
 
 
 def _fit_estimator(variant, data, G, config, rep_seed, first):
     # ``first``: the estimator's entry of _first_stage
-    if isinstance(first, NumericalError):
-        raise first
     winner = first[_pool_winner(first)]     # multi_start_fit's pick, and its errors
     if variant is not Variant.CONC:
         return winner.fit(data), None
@@ -195,7 +190,10 @@ def run_study(config: StudyConfig, keep_replications: bool = False):
             data, truth, true_labels = draw_scenario(scenario, data_rng)
             rep_seed = int(ss.generate_state(1)[0])
             t0 = time.perf_counter()
-            firsts = _first_stage(data, scenario.G, config, rep_seed)
+            try:
+                firsts = _first_stage(data, scenario.G, config, rep_seed)
+            except NumericalError:
+                continue        # counted in every estimator's n_failed
             batch_s = time.perf_counter() - t0
             for variant in config.estimators:
                 t0 = time.perf_counter()

@@ -85,6 +85,18 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: delimiter must be one character, got ';;'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["fit", "--variant", "hetn"], ["tune"]])
+    def test_design_without_columns(self, tmp_path, capsys, command):
+        # a response and --no-intercept leave the design no column to regress on
+        csv, out = tmp_path / "y.csv", tmp_path / "o.json"
+        csv.write_text("y\n" + "".join(f"{v}\n" for v in (1.0, 2.5, 0.3, 4.1, 2.2, 1.7)))
+        code = run([*command, "--input", str(csv), "--response", "y", "--no-intercept",
+                    "--components", "2", "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: design has no columns: an intercept or a regressor is needed\n")
+        assert not out.exists()
+
     def test_input_without_response(self, data_csv, tmp_path, capsys):
         code = run(["fit", "--input", str(data_csv), "--regressors", "x", "--components", "2",
                     "--variant", "hetn", "--output", str(tmp_path / "o.json")])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from clustreg import (
     ConstraintSpec,
+    CvConfig,
     Dataset,
     EmConfig,
     ModelParams,
@@ -16,14 +17,14 @@ from clustreg import (
     Responsibilities,
     SingularComponentError,
     Variant,
+    adjusted_rand,
     clamp_variances,
-    component_density,
+    fit_conc,
     homoscedastic_variance,
     initialize,
     log_likelihood,
     m_step_betas,
     m_step_variances,
-    m_step_weights,
     min_variance_ratio,
     multi_start_fit,
     posterior_probs,
@@ -31,6 +32,7 @@ from clustreg import (
 )
 from clustreg import em, io
 from conftest import make_two_line_data, random_dataset, random_params
+from reference import component_density, em_history, m_step_weights
 
 
 def mp_weighted_ols(X, y, z):
@@ -354,8 +356,9 @@ class TestClampVariances:
 
     def test_quarter_example(self):
         spec = ConstraintSpec.constrained(0.25, 4.0)
-        assert spec.lower == pytest.approx(2.0)
-        assert spec.upper == pytest.approx(8.0)
+        lower, upper = clamp_variances(np.array([0.0, np.inf]), spec)
+        assert lower == pytest.approx(2.0)
+        assert upper == pytest.approx(8.0)
         assert clamp_variances(np.array([1.0, 5.0, 10.0]), spec).tolist() == [2.0, 5.0, 8.0]
 
     def test_vanishing_c_passes_through(self):
@@ -408,7 +411,8 @@ class TestUpdateVariances:
 class TestConstraintSpec:
     def test_bounds_satisfy_ratio(self):
         spec = ConstraintSpec.constrained(0.3, 2.5)
-        assert spec.lower / spec.upper == pytest.approx(0.3, rel=1e-12)
+        lower, upper = clamp_variances(np.array([0.0, np.inf]), spec)
+        assert lower / upper == pytest.approx(0.3, rel=1e-12)
 
     def test_rejects_out_of_range_c(self):
         for c in (0.0, 1.5, math.nan, math.inf):
@@ -465,8 +469,9 @@ class TestInitialize:
         for c in (1e-6, 0.1, 1.0):
             spec = ConstraintSpec.constrained(c, 0.9)
             params = initialize(data, 2, spec, seed=3)
-            assert np.all(params.variances >= spec.lower - 1e-15)
-            assert np.all(params.variances <= spec.upper + 1e-15)
+            lower, upper = clamp_variances(np.array([0.0, np.inf]), spec)
+            assert np.all(params.variances >= lower - 1e-15)
+            assert np.all(params.variances <= upper + 1e-15)
 
     def test_rejects_too_small_sample(self):
         data = Dataset(np.arange(4.0), np.column_stack([np.ones(4), np.arange(4.0)]))
@@ -693,6 +698,109 @@ def test_label_swap_equivariance(name, variant, seed, weight, spread):
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+PERM_G = {"iris": 3, "temperature": 2}
+
+
+@settings(max_examples=20)
+@given(
+    name=st.sampled_from(sorted(SWAP_DATA)),
+    variant=st.sampled_from(sorted(SWAP_SPECS)),
+    seed=st.integers(0, 2**32 - 1),
+    draws=st.data(),
+)
+def test_row_permutation_equivariance(name, variant, seed, draws):
+    # a start on permuted rows takes the same steps; only summation order differs
+    data, spec, G = SWAP_DATA[name], SWAP_SPECS[variant], PERM_G[name]
+    perm = np.array(draws.draw(st.permutations(range(data.n))))
+    try:
+        init = initialize(data, G, spec, seed)
+    except SingularComponentError:
+        return
+    fits = []
+    for sample in (data, data.subset(perm)):
+        try:
+            fits.append(run_em(sample, G, spec, EmConfig(), init))
+        except SingularComponentError as exc:
+            fits.append(exc)
+    fit, moved = fits
+    assert type(fit) is type(moved)
+    if isinstance(fit, Exception):
+        return
+    assert (moved.stop_reason, moved.iterations) == (fit.stop_reason, fit.iterations)
+    for got, want in (
+        (moved.params.weights, fit.params.weights),
+        (moved.params.coefficients, fit.params.coefficients),
+        (moved.params.variances, fit.params.variances),
+    ):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    assert np.array_equal(moved.labels, fit.labels[perm])
+
+
+class TestEdgeShapes:
+    """Shapes at the edge of what a fit accepts, through the multi-start and ConC entries."""
+
+    SPECS = [ConstraintSpec.heteroscedastic(), ConstraintSpec.homoscedastic()]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["hetn", "homn"])
+    def test_minimum_sample_size_fits(self, spec):
+        # n = G * (J + 1) with G = 2 and J = 2
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-3, 3, 6)
+        data = Dataset(1.0 + 2.0 * x + rng.standard_normal(6), np.column_stack([np.ones(6), x]))
+        fit = multi_start_fit(data, 2, spec, EmConfig(), 10, seed=0)
+        assert fit.params.n_components == 2 and np.isfinite(fit.loglik)
+        assert not fit.degenerate
+
+    def test_minimum_sample_size_has_no_cv_test_set(self):
+        data = Dataset(np.arange(6.0) ** 2, np.column_stack([np.ones(6), np.arange(6.0)]))
+        with pytest.raises(ValueError, match="empty test set for n=6$"):
+            fit_conc(data, 2, CvConfig(), EmConfig(), 10)
+
+    def test_duplicated_rows_double_the_log_likelihood(self):
+        data, _, _ = make_two_line_data(seed=5, n=60)
+        twice = Dataset(np.tile(data.responses, 2), np.vstack([data.design, data.design]))
+        # ConC at a fixed c that binds here: a tuned c could differ, as CV
+        # draws other folds from the doubled rows
+        c = 0.9
+        conc = ConstraintSpec.constrained(c, float(np.var(data.responses)) / 2)
+        for spec in [*self.SPECS, conc]:
+            once = multi_start_fit(data, 2, spec, EmConfig(), 10, seed=1)
+            fit = multi_start_fit(twice, 2, spec, EmConfig(), 10, seed=1)
+            assert fit.loglik == pytest.approx(2 * once.loglik, rel=1e-8)
+        assert min_variance_ratio(fit.params) >= c * (1 - 1e-9)
+
+    def test_one_component_is_ols(self):
+        data, _, _ = make_two_line_data(seed=5, n=60)
+        coef, *_ = np.linalg.lstsq(data.design, data.responses, rcond=None)
+        resid = data.responses - data.design @ coef
+        fits = [multi_start_fit(data, 1, spec, EmConfig(), 3, seed=0) for spec in self.SPECS]
+        fits.append(fit_conc(data, 1, CvConfig(), EmConfig(), 3)[0])
+        for fit in fits:
+            np.testing.assert_allclose(fit.params.coefficients[0], coef, rtol=1e-12, atol=1e-14)
+            assert fit.params.variances[0] == pytest.approx(resid @ resid / data.n, rel=1e-12)
+            assert fit.params.weights.tolist() == [1.0]
+
+    def test_huge_response_scale(self):
+        # 1e150 squares to 1e300, a step from overflow; the fits match the
+        # unscaled ones up to the units (the stopping rule is not scale-free)
+        data, _, _ = make_two_line_data(seed=5, n=60)
+        scale = 1e150
+        big = Dataset(scale * data.responses, data.design)
+        shift = data.n * math.log(scale)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pairs = [(multi_start_fit(data, 2, spec, EmConfig(), 10, seed=1),
+                      multi_start_fit(big, 2, spec, EmConfig(), 10, seed=1))
+                     for spec in self.SPECS]
+            pairs.append((fit_conc(data, 2, CvConfig(seed=1), EmConfig(), 10)[0],
+                          fit_conc(big, 2, CvConfig(seed=1), EmConfig(), 10)[0]))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        for fit, fit_big in pairs:
+            assert not fit_big.degenerate
+            assert fit_big.loglik + shift == pytest.approx(fit.loglik, rel=1e-6)
+            assert adjusted_rand(fit.labels, fit_big.labels) == 1.0
+
+
 class TestMultiStart:
     def test_one_start_equals_run_em(self):
         data, _, _ = make_two_line_data(seed=22, n=60)
@@ -744,7 +852,7 @@ class TestMultiStart:
         """
         def run(loglik, degenerate):
             return em._Run(np.full(2, 0.5), np.zeros((2, 2)), np.ones(2), loglik, [loglik],
-                           "degenerate" if degenerate else "tolerance", 1, ())
+                           "degenerate" if degenerate else "tolerance", 1)
 
         pool = [o if isinstance(o, Exception) else run(*o) for o in outcomes]
         monkeypatch.setattr(em, "_em_lanes", lambda *args: list(pool))
@@ -865,10 +973,10 @@ class TestStopReasons:
             assert fit.loglik == fit.loglik_trace[-1]
             assert fit.iterations == len(fit.loglik_trace)    # the rejected step counts
         init = initialize(iris, 3, spec, np.random.SeedSequence(0).spawn(1)[0])
-        fit = run_em(iris, 3, spec, EmConfig(), init, keep_history=True)
+        fit, history = em_history(iris, 3, spec, EmConfig(), init)
         assert fit.stop_reason == "rejected_step"
-        assert len(fit.param_history) == len(fit.loglik_trace)
-        assert np.array_equal(fit.param_history[-1].variances, fit.params.variances)
+        assert len(history) == len(fit.loglik_trace)
+        assert np.array_equal(history[-1].variances, fit.params.variances)
 
     def test_tolerance_met_on_the_capped_iteration(self, iris):
         spec = ConstraintSpec.heteroscedastic()
@@ -960,13 +1068,13 @@ class TestMonotonicityProperty:
             ):
                 try:
                     init = initialize(data, G, spec, seed=trial)
-                    fit = run_em(data, G, spec, EmConfig(), init, keep_history=True)
+                    fit, history = em_history(data, G, spec, EmConfig(), init)
                 except SingularComponentError:
                     continue
                 checked += 1
                 if not fit.degenerate:
                     assert np.all(np.diff(fit.loglik_trace) >= -1e-8)
                 if spec.variant is Variant.CONC and G > 1:
-                    for params in fit.param_history:
+                    for params in history:
                         assert min_variance_ratio(params) >= c - 1e-12
         assert checked >= 100

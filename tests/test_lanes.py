@@ -16,6 +16,7 @@ from clustreg import (
 from clustreg import em
 from clustreg.em import _em_lanes
 from conftest import make_two_line_data
+from reference import em_history
 
 FIELDS = ("loglik", "stop_reason", "converged", "degenerate", "iterations")
 ARRAYS = (
@@ -155,9 +156,9 @@ def test_single_member_history_matches_trace():
     data, _, _ = make_two_line_data(seed=91, n=80)
     spec = ConstraintSpec.heteroscedastic()
     init = initialize(data, 2, spec, seed=2)
-    fit = run_em(data, 2, spec, EmConfig(), init, keep_history=True)
-    assert len(fit.param_history) == fit.loglik_trace.shape[0] > 2
-    assert fit.param_history[0] is init
-    last = fit.param_history[-1]
+    fit, history = em_history(data, 2, spec, EmConfig(), init)
+    assert len(history) == fit.loglik_trace.shape[0] > 2
+    assert history[0] is init
+    last = history[-1]
     assert np.array_equal(last.coefficients, fit.params.coefficients)
     assert np.array_equal(last.variances, fit.params.variances)

@@ -17,13 +17,13 @@ from clustreg import (
     ModelParams,
     Responsibilities,
     classify,
-    component_density,
     log_likelihood,
     min_variance_ratio,
     posterior_probs,
 )
 from clustreg import model
 from conftest import random_dataset, random_params
+from reference import component_density
 
 
 def mp_density(y, x, beta, sigma2):
@@ -322,8 +322,10 @@ class TestInvariants:
         (np.ones((2, 1)), np.ones((2, 1)), (), "responses must be 1-d and design 2-d"),
         (np.ones(2), np.ones(2), (), "responses must be 1-d and design 2-d"),
         (np.ones(0), np.ones((0, 1)), (), "need at least one observation"),
+        (np.ones(2), np.empty((2, 0)), (),
+         "design has no columns: an intercept or a regressor is needed"),
         (np.ones(2), np.ones((2, 2)), ("a",), "feature_names length must match design columns"),
-    ], ids=["2-d-responses", "1-d-design", "empty", "names-length"])
+    ], ids=["2-d-responses", "1-d-design", "empty", "no-columns", "names-length"])
     def test_dataset_rejects_bad_layout(self, responses, design, names, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Dataset(responses, design, names)

@@ -1,5 +1,6 @@
 """Every name a module exports, and every target of the benchmark tracer, exists;
-no module keeps an import it never uses or a private name nothing references.
+no module keeps an import it never uses or a private name nothing references;
+the tests' reference module stays outside the package and off its private names.
 
 The tracer in ``perfbench/spans.py`` patches functions and methods by name;
 a deleted or renamed target would otherwise surface only in a benchmark run.
@@ -17,6 +18,7 @@ import pytest
 MODULES = ("model", "em", "tuning", "metrics", "simulate", "io", "cli")
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 SRC = Path(__file__).resolve().parents[1] / "src" / "clustreg"
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +157,27 @@ def test_io_private_names_stay_in_io():
                           for alias in node.names if _private(alias.name)]
     assert leaks == []
 
+
+def test_reference_uses_only_public_names():
+    """The oracle reaches the program only through its public names, so it stays
+    independent of the kernel's internals."""
+    private = []
+    for node in ast.walk(ast.parse(REFERENCE.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "clustreg":
+            module = importlib.import_module(node.module)
+            public = getattr(module, "__all__", None)
+            private += [f"{node.lineno}: {node.module}.{alias.name}" for alias in node.names
+                        if _private(alias.name) or (public is not None and alias.name not in public)]
+        elif isinstance(node, ast.Attribute) and _private(node.attr):
+            private.append(f"{node.lineno}: .{node.attr}")
+    assert private == []
+
+
+def test_reference_names_are_not_in_the_package():
+    """No name the reference module defines comes back into ``src/`` as a second copy."""
+    import clustreg
+
+    modules = [clustreg] + [importlib.import_module(f"clustreg.{name}") for name in MODULES]
+    copies = [f"{line}: {name}" for line, name in _module_names(ast.parse(REFERENCE.read_text()))
+              if any(hasattr(module, name) for module in modules)]
+    assert copies == []
