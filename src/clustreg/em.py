@@ -22,11 +22,13 @@ keeps the iterate it started from), ``tolerance`` (the log-likelihood moved
 by at most tolerance * (1 + |loglik|)) and ``max_iterations``.  Its lane
 takes a waiting fork (below) or the next member, a start being initialised
 only then, in start order, on its own seed stream.  Every run enters one
-way, from its parameters through a batched E-step, and every member runs to
-its end; the outcomes come back in (c, member) order as raw arrays, which
-only a caller returning a FitResult turns into one, recomputing the
-posteriors.  A failed member's outcome is a NumericalError.  Only a
-SingularComponentError (singular M-step, no full-rank start) fails the
+way, from its parameters through ``model``'s batched E-step, which holds the
+E-step's error state; an iteration's E-step, on the squared residuals of its
+M-step, is the kernel's, under one error state shared with its stop test.
+Every member runs to its end; the outcomes come back in (c, member) order as
+raw arrays, which only a caller returning a FitResult turns into one,
+recomputing the posteriors.  A failed member's outcome is a NumericalError.
+Only a SingularComponentError (singular M-step, no full-rank start) fails the
 member alone; ``_raise_fatal`` raises the first other one, in outcome order.
 Each per-run operation is the same floating-point arithmetic as a run on its
 own, so a result does not depend on its batch.  ``run_em`` is the one-member
@@ -61,10 +63,10 @@ from .model import (
     ModelParams,
     Responsibilities,
     _check_params,
+    _e_step,
     _e_step_arrays,
     _require_int,
     _residual_rows,
-    _residuals,
     posterior_probs,
     classify,
     min_variance_ratio,
@@ -293,7 +295,7 @@ def m_step_variances(data: Dataset, resp: Responsibilities, betas: np.ndarray) -
     Z = resp.probs.T
     totals = Z.sum(axis=1)
     _require_mass(totals)
-    resid = _residuals(data, np.asarray(betas))
+    resid = _residual_rows(data.responses, data.design, np.asarray(betas))
     return _weighted_ss(Z, resid * resid) / totals
 
 
@@ -301,7 +303,7 @@ def homoscedastic_variance(data: Dataset, resp: Responsibilities, betas: np.ndar
     """Pooled variance: (1/n) sum over observations and components of z * residual^2."""
     Z = resp.probs.T
     _require_mass(Z.sum(axis=1))
-    resid = _residuals(data, np.asarray(betas))
+    resid = _residual_rows(data.responses, data.design, np.asarray(betas))
     return float(_weighted_ss(Z, resid * resid).sum() / data.n)
 
 
@@ -410,9 +412,6 @@ def _em_lanes(samples, G: int, config: EmConfig, members, shadows=()) -> list:
     def rows(stack, slots):
         return stack if shared else stack[slots]
 
-    def residuals(slots, betas):
-        return _residual_rows(rows(Y, slots), rows(X, slots), betas)
-
     lanes = max(1, _LANE_BUDGET // (G * n))
     roots, m = np.sqrt(shadows), len(shadows)
     source = iter(members)
@@ -466,13 +465,12 @@ def _em_lanes(samples, G: int, config: EmConfig, members, shadows=()) -> list:
         if entering:
             ks, slots, params, its, traces, cs, qs = zip(*entering)
             W, B, V = (np.array(p) for p in zip(*params))
-            resid = residuals(np.array(slots), B)
-            with np.errstate(**_E_STEP_ERRORS):
-                ll, P, _ = _e_step_arrays(resid * resid, W, V)
+            slots = np.array(slots)
+            ll, P, _ = _e_step(rows(Y, slots), rows(X, slots), W, B, V)
             for k, trace, v in zip(ks, traces, ll.tolist()):
                 trace.append(v)
                 logs[k] = trace
-            new = dict(key=np.array(ks), slot=np.array(slots), w=W, b=B, v=V, p=P, ll=ll,
+            new = dict(key=np.array(ks), slot=slots, w=W, b=B, v=V, p=P, ll=ll,
                        it=np.array(its, dtype=np.intp), root=np.sqrt(cs), q=np.array(qs))
             lane = {f: np.concatenate([lane[f], new[f]]) for f in new} if lane else new
         if not logs:
@@ -489,7 +487,7 @@ def _em_lanes(samples, G: int, config: EmConfig, members, shadows=()) -> list:
                 leave(a, exc)
                 ok[a] = False
             totals, weights, betas = keep(ok, totals, weights, betas)
-        sq = residuals(lane["slot"], betas)
+        sq = _residual_rows(rows(Y, lane["slot"]), rows(X, lane["slot"]), betas)
         sq *= sq                # squared residuals, read by the variance update and the E-step
         ss = _weighted_ss(lane["p"], sq)
         live = m and lane["q"].any()

@@ -369,14 +369,18 @@ def fit_from_document(doc: dict) -> FitResult:
     return fit
 
 
-def _from_dict(cls, d, what: str, fields=None, **values):
-    """``cls`` from the keys of ``d``, the object at ``what``, that name its fields (or ``fields``).
+def _from_dict(cls, d, what: str, fields=None, skip=(), **values):
+    """``cls`` from the keys of ``d``, the object at ``what``, naming its fields (or ``fields``).
 
-    Other keys are ignored, absent ones take the dataclass defaults, and
-    ``values`` override both.  A value ``cls`` rejects is a ValueError naming ``what``.
+    ``d`` may also hold the keys in ``skip``, read elsewhere or ignored; any
+    other key, or a value ``cls`` rejects, is a ValueError naming ``what``.
+    Absent keys take the dataclass defaults, and ``values`` override both.
     """
     names = fields or {f.name for f in dataclasses.fields(cls)}
-    kwargs = {k: v for k, v in _typed(d, dict, what).items() if k in names}
+    unknown = [k for k in _typed(d, dict, what) if k not in names and k not in skip]
+    if unknown:
+        raise ValueError(f"{what}: unknown field {unknown[0]!r}")
+    kwargs = {k: v for k, v in d.items() if k in names}
     try:
         return cls(**{**kwargs, **values})
     except (TypeError, ValueError) as exc:
@@ -385,15 +389,17 @@ def _from_dict(cls, d, what: str, fields=None, **values):
 
 def study_from_document(doc: dict) -> StudyConfig:
     """The StudyConfig a scenario document describes."""
-    # replication seeds, the CV splits' included, derive from the study seed
+    # replication seeds, the CV splits' included, derive from the study seed: a
+    # scenario's or cv's own seed is ignored.  The outer call checks the top level.
     scenarios = _typed(doc["scenarios"], list, "field 'scenarios'")
     return _from_dict(
-        StudyConfig, doc, "the top level",
-        scenarios=tuple(_from_dict(ScenarioSpec, d, f"scenarios[{i}]")
+        StudyConfig, doc, "the top level", ("replications", "n_starts", "estimators", "seed"),
+        ("scenarios", "cv", "max_iterations", "tolerance"),
+        scenarios=tuple(_from_dict(ScenarioSpec, d, f"scenarios[{i}]", skip=("seed",))
                         for i, d in enumerate(scenarios)),
         cv=_from_dict(CvConfig, doc.get("cv", {}), "field 'cv'",
-                      ("n_repeats", "test_fraction", "c_grid")),
-        em=_from_dict(EmConfig, doc, "the top level", ("max_iterations", "tolerance")),
+                      ("n_repeats", "test_fraction", "c_grid"), ("seed",)),
+        em=_from_dict(EmConfig, doc, "the top level", ("max_iterations", "tolerance"), doc),
     )
 
 

@@ -180,30 +180,27 @@ def _residual_rows(responses, design, coefficients):
     ``responses`` is (..., n) or (..., 1, n) and ``design`` (..., n, J); their
     leading axes broadcast against the coefficients' member axes.
     """
+    if coefficients.shape[-1] != design.shape[-1]:
+        raise ValueError("parameter and design dimensions disagree")
     return responses - coefficients @ design.swapaxes(-1, -2)
 
 
-def _residuals(data: Dataset, coefficients: np.ndarray) -> np.ndarray:
-    if coefficients.shape[-1] != data.n_features:
-        raise ValueError("parameter and design dimensions disagree")
-    return _residual_rows(data.responses, data.design, coefficients)
-
-
-# The E-step's error state, entered by the callers of _log_density and
-# _e_step_arrays: a zero weight or an overflowing residual square is a -inf
-# density, i.e. underflow.
+# The E-step's error state: a zero weight or an overflowing residual square is
+# a -inf density, i.e. underflow.  _e_step and log_density_matrix enter it; the
+# EM kernel's per-iteration E-step, which has its squares from the M-step,
+# shares it with its stop test.
 _E_STEP_ERRORS = dict(divide="ignore", over="ignore")
 
 
 def _log_density(sq, weights, variances):
-    # from squared residuals; the caller holds _E_STEP_ERRORS
+    # from squared residuals, under _E_STEP_ERRORS
     const = np.log(weights) - 0.5 * np.log(2.0 * np.pi * variances)
     return const[..., None] - sq / (2.0 * variances)[..., None]
 
 
 def log_density_matrix(data: Dataset, params: ModelParams) -> np.ndarray:
     """Matrix of log(p_g) + log f_g(y_i | x_i), shape (n, G)."""
-    resid = _residuals(data, params.coefficients)
+    resid = _residual_rows(data.responses, data.design, params.coefficients)
     with np.errstate(**_E_STEP_ERRORS):
         return _log_density(resid * resid, params.weights, params.variances).T
 
@@ -211,10 +208,10 @@ def log_density_matrix(data: Dataset, params: ModelParams) -> np.ndarray:
 def _e_step_arrays(sq, weights, variances):
     """Max-shifted log-sum-exp pass: (loglik, (..., G, n) posteriors, (..., n) underflow mask).
 
-    From the squared residuals ``sq``, squared by the caller, which also holds
-    ``_E_STEP_ERRORS``.  Leading member axes are kept; loglik has their shape.
-    Observations whose mixture density underflows to zero for every component
-    get a uniform 1/G posterior and make their member's log-likelihood -inf.
+    From the squared residuals ``sq``, under ``_E_STEP_ERRORS``.  Leading
+    member axes are kept; loglik has their shape.  Observations whose mixture
+    density underflows to zero for every component get a uniform 1/G
+    posterior and make their member's log-likelihood -inf.
     """
     L = _log_density(sq, weights, variances)
     shift = L.max(axis=-2)
@@ -236,14 +233,21 @@ _UNDERFLOW_WARNING = (
 )
 
 
+def _e_step(responses, design, weights, coefficients, variances, warn=False):
+    """The E-step from parameters: ``_e_step_arrays`` on the squared ``_residual_rows``.
+    With ``warn``, an underflow warns, attributed to the caller of this one's caller."""
+    resid = _residual_rows(responses, design, coefficients)
+    with np.errstate(**_E_STEP_ERRORS):
+        loglik, P, bad = _e_step_arrays(resid * resid, weights, variances)
+    if warn and bad.any():
+        warnings.warn(_UNDERFLOW_WARNING, RuntimeWarning, stacklevel=3)
+    return loglik, P, bad
+
+
 def log_likelihood(data: Dataset, params: ModelParams) -> float:
     """Sample log-likelihood, stabilized per observation by max subtraction."""
-    resid = _residuals(data, params.coefficients)
-    with np.errstate(**_E_STEP_ERRORS):
-        loglik, _, bad = _e_step_arrays(resid * resid, params.weights, params.variances)
-    if bad.any():
-        warnings.warn(_UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
-    return float(loglik)
+    return float(_e_step(data.responses, data.design, params.weights, params.coefficients,
+                         params.variances, warn=True)[0])
 
 
 def posterior_probs(data: Dataset, params: ModelParams) -> Responsibilities:
@@ -252,9 +256,8 @@ def posterior_probs(data: Dataset, params: ModelParams) -> Responsibilities:
     Observations whose mixture density underflows to zero for every component
     get a uniform 1/G row and are flagged in ``underflow``.
     """
-    resid = _residuals(data, params.coefficients)
-    with np.errstate(**_E_STEP_ERRORS):
-        _, P, bad = _e_step_arrays(resid * resid, params.weights, params.variances)
+    _, P, bad = _e_step(data.responses, data.design, params.weights, params.coefficients,
+                        params.variances)
     return Responsibilities(P.T, underflow=bad)
 
 

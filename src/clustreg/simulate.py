@@ -104,10 +104,12 @@ class StudyConfig:
     def __post_init__(self):
         for name, low in (("replications", 1), ("n_starts", 1), ("seed", 0)):
             _require_int(name, getattr(self, name), low)
+        estimators = tuple(Variant(v) for v in self.estimators)
+        if not estimators or len(set(estimators)) < len(estimators):
+            raise ValueError("estimators must list at least one variant, none twice, got "
+                             f"{[v.value for v in estimators]}")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        object.__setattr__(
-            self, "estimators", tuple(Variant(v) for v in self.estimators)
-        )
+        object.__setattr__(self, "estimators", estimators)
 
 
 def draw_inverse_gamma(rng: np.random.Generator, shape: float, scale: float, size=None):
@@ -147,9 +149,8 @@ def _first_stage(data, G, config, rep_seed) -> dict:
     """
     specs = {v: (ConstraintSpec(v), rep_seed) for v in (Variant.HOMN, Variant.HETN)}
     specs[Variant.CONC] = _target_pool(rep_seed)
-    variants = tuple(dict.fromkeys(config.estimators))
-    pools = [(spec, config.n_starts, seed) for spec, seed in map(specs.get, variants)]
-    return dict(zip(variants, _pool_outcomes(data, G, config.em, pools)))
+    pools = [(spec, config.n_starts, seed) for spec, seed in map(specs.get, config.estimators)]
+    return dict(zip(config.estimators, _pool_outcomes(data, G, config.em, pools)))
 
 
 def _fit_estimator(variant, data, G, config, rep_seed, first):

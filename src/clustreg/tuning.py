@@ -13,21 +13,12 @@ shadows (``em``); trained models are scored in one pass.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
-    _E_STEP_ERRORS,
-    _UNDERFLOW_WARNING,
-    Dataset,
-    ModelParams,
-    _e_step_arrays,
-    _require_int,
-    _residual_rows,
-)
+from .model import Dataset, ModelParams, _e_step, _require_int
 from .em import (
     ConstraintSpec,
     EmConfig,
@@ -161,11 +152,8 @@ def cv_loglik(
     coefficients = np.array([m.coefficients for m in models])
     variances = np.array([m.variances for m in models])
     test = np.array([t for _, t in splits])[np.tile(np.arange(K), len(cs))]
-    resid = _residual_rows(data.responses[test][:, None, :], data.design[test], coefficients)
-    with np.errstate(**_E_STEP_ERRORS):
-        loglik, _, bad = _e_step_arrays(resid * resid, weights, variances)
-    if bad.any():
-        warnings.warn(_UNDERFLOW_WARNING, RuntimeWarning, stacklevel=2)
+    loglik, _, _ = _e_step(data.responses[test][:, None, :], data.design[test], weights,
+                           coefficients, variances, warn=True)
     # cumsum adds the splits one by one in split order, as a running total
     # does; a pairwise sum would round differently
     totals = np.cumsum(loglik.reshape(len(cs), K), axis=1)[:, -1]

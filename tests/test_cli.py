@@ -471,8 +471,12 @@ class TestSimulate:
         ({"scenarios": [{"n": 60}]}, "scenarios[0]"),
         ({"scenarios": [SCENARIO], "cv": {"c_grid": 5}}, "field 'cv'"),
         ({"scenarios": [SCENARIO], "replications": 0}, "the top level"),
+        ({"scenarios": [SCENARIO], "estimators": []}, "the top level: estimators must list"),
+        ({"scenarios": [SCENARIO], "estimators": ["hetn", "hetn"]},
+         "the top level: estimators must list"),
     ], ids=["scenarios-int", "scenario-int", "cv-int", "top-level-list", "empty",
-            "scenario-missing-fields", "c-grid-int", "zero-replications"])
+            "scenario-missing-fields", "c-grid-int", "zero-replications", "no-estimators",
+            "repeated-estimators"])
     def test_malformed_scenario_file_named(self, tmp_path, capsys, doc, field):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
@@ -505,6 +509,33 @@ class TestSimulate:
         assert err.startswith(f"error: {p}: {where}: {field} must be an integer >= ")
         assert err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("doc, where, key", [
+        ({"scenarios": [SCENARIO], "replicatons": 3}, "the top level", "replicatons"),
+        ({"scenarios": [SCENARIO], "em": {}}, "the top level", "em"),
+        ({"scenarios": [{**SCENARIO, "n_regressor": 5}]}, "scenarios[0]", "n_regressor"),
+        ({"scenarios": [SCENARIO], "cv": {"n_repeat": 2}}, "field 'cv'", "n_repeat"),
+    ], ids=["top-level", "top-level-em", "scenario", "cv"])
+    def test_unknown_field_named(self, tmp_path, capsys, doc, where, key):
+        p = tmp_path / "study.json"
+        p.write_text(json.dumps({"replications": 1, "n_starts": 2, **doc}))
+        out = tmp_path / "o.csv"
+        assert run(["simulate", "--scenario-file", str(p), "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {p}: {where}: unknown field {key!r}\n"
+        assert not out.exists()
+
+    def test_seeds_inside_scenario_and_cv_are_ignored(self, tmp_path):
+        doc = {"scenarios": [self.SCENARIO], "replications": 1, "n_starts": 2,
+               "estimators": ["homn"], "seed": 4}
+        outs = []
+        for extra in ({}, {"scenarios": [{**self.SCENARIO, "seed": 9}], "cv": {"seed": 9}}):
+            p, out = tmp_path / "study.json", tmp_path / f"o{len(outs)}.json"
+            p.write_text(json.dumps({**doc, **extra}))
+            assert run(["simulate", "--scenario-file", str(p), "--emit", "json",
+                        "--output", str(out)]) == EXIT_OK
+            outs.append([{k: v for k, v in row.items() if k != "time_s"}
+                         for row in json.loads(out.read_text())])
+        assert outs[0] == outs[1]
 
     def test_undrawable_scenario_is_one_error_line(self, tmp_path, capsys):
         p = tmp_path / "study.json"

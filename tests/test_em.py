@@ -508,6 +508,13 @@ class TestRunEm:
         with pytest.raises(ValueError, match="^init has wrong number of components$"):
             run_em(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(), init)
 
+    def test_init_with_wrong_coefficient_width_rejected(self):
+        # the message log_likelihood gives for the same parameters
+        data, _, _ = make_two_line_data(seed=10, n=40)
+        init = ModelParams(np.full(2, 0.5), np.zeros((2, 3)), np.ones(2))
+        with pytest.raises(ValueError, match="^parameter and design dimensions disagree$"):
+            run_em(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(), init)
+
     @pytest.mark.parametrize("variant", ["hetn", "homn", "conc"])
     def test_recovers_separated_lines(self, variant):
         data, truth, _ = make_two_line_data(seed=13, n=100, noise=(0.05, 0.05))

@@ -156,9 +156,10 @@ class TestLogLikelihood:
     def test_total_underflow_is_flagged(self):
         data = Dataset(np.array([1e200]), np.array([[1.0]]))
         params = ModelParams(np.array([1.0]), np.array([[0.0]]), np.array([1.0]))
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) as record:
             value = log_likelihood(data, params)
         assert value == -math.inf
+        assert record[0].filename == __file__       # attributed to log_likelihood's caller
 
     def test_dimension_mismatch(self):
         data = Dataset(np.array([1.0, 2.0]), np.array([[1.0], [1.0]]))

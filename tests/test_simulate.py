@@ -189,6 +189,12 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             self._config(**{field: value})
 
+    @pytest.mark.parametrize("estimators", [(), ("hetn", "hetn"), ("homn", "conc", "homn")],
+                             ids=["empty", "hetn-twice", "homn-twice"])
+    def test_estimators_must_be_distinct_and_present(self, estimators):
+        with pytest.raises(ValueError, match=r"^estimators must list at least one variant"):
+            self._config(estimators=estimators)
+
     def test_integer_fields_accept_numpy_integers(self):
         def rows(**kw):
             return [[(k, str(v)) for k, v in row.items() if k != "time_s"]

@@ -158,6 +158,27 @@ def test_io_private_names_stay_in_io():
     assert leaks == []
 
 
+@pytest.mark.parametrize("name, owners", [
+    ("_E_STEP_ERRORS", {"model.py", "em.py"}),
+    ("_e_step_arrays", {"model.py", "em.py"}),
+    ("_UNDERFLOW_WARNING", {"model.py"}),
+])
+def test_e_step_internals_stay_in_model(name, owners):
+    """Other modules enter the E-step through ``model._e_step``; only the EM
+    kernel's per-iteration E-step, on its M-step's squares, also holds its error state."""
+    leaks = []
+    for filename, tree in _sources().items():
+        if filename in owners:
+            continue
+        for node in ast.walk(tree):
+            named = (node.id if isinstance(node, ast.Name) else node.attr
+                     if isinstance(node, ast.Attribute) else node.name
+                     if isinstance(node, ast.alias) else None)
+            if named == name:
+                leaks.append(f"{filename}:{node.lineno}")
+    assert leaks == []
+
+
 def test_reference_uses_only_public_names():
     """The oracle reaches the program only through its public names, so it stays
     independent of the kernel's internals."""

@@ -436,9 +436,10 @@ class TestMergedGrid:
         # is scored with the warm start, whose density underflows everywhere
         data = Dataset(1e5 + x + rng.normal(0, 0.1, 30), np.column_stack([np.ones(30), x, x]))
         warm = ModelParams(np.array([1.0, 0.0]), np.zeros((2, 3)), np.full(2, 1e-300))
-        with pytest.warns(RuntimeWarning, match="^mixture density"):
+        with pytest.warns(RuntimeWarning, match="^mixture density") as record:
             score = score_c(data, 0.5, warm, CvConfig(n_repeats=2, seed=0), EmConfig())
         assert score == (0.5, -math.inf, 2)
+        assert record[0].filename == __file__       # attributed to cv_loglik's caller
 
 
 class TestInvariantFailure:
