@@ -14,7 +14,7 @@ grid -- together: parameters and posteriors carry a leading run axis, so one
 iteration is a few NumPy calls whatever the batch size.  Runs may use
 different samples of one size (the training sets of a CV grid); each carries
 its sample's slot, and a batch on one sample broadcasts it.  The batch holds
-at most ``2**14 // (G*n)`` runs (a fixed budget of posterior elements).  A
+at most ``_lane_count`` runs (a fixed budget of bytes, counting G, J, n).  A
 run leaves when a check fails or an iteration gives it a stop reason, the
 first that holds of ``STOP_REASONS``: ``degenerate`` (a variance fell below
 the floor), ``rejected_step`` (the step lowered the log-likelihood; the run
@@ -67,7 +67,6 @@ from .model import (
     _e_step_arrays,
     _require_int,
     _residual_rows,
-    posterior_probs,
     classify,
     min_variance_ratio,
 )
@@ -91,9 +90,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _TINY = np.finfo(float).tiny   # the smallest positive normal float
-# Elements of (G, n) posteriors held over all lanes of one EM batch: the lane
-# count is this budget over G*n, read off the input.
-_LANE_BUDGET = 2**14
+_LANE_BYTES = 5 * 2**18      # one EM batch's largest per-iteration arrays (_lane_count)
 _INIT_ATTEMPTS = 20
 # Why an EM run stopped, in order of precedence when several hold at once.
 STOP_REASONS = ("degenerate", "rejected_step", "tolerance", "max_iterations")
@@ -196,12 +193,9 @@ class FitResult:
 
 
 class _Run(NamedTuple):
-    """A member's end state as the EM kernel leaves it; ``fit(data)`` makes the FitResult.
-
-    The posteriors are not kept: they are a function of the parameters, and
-    ``fit`` recomputes them with the same arithmetic as the member's last
-    E-step, so only the fits a caller returns pay for them.
-    """
+    """A member's end state as the EM kernel leaves it, posteriors left out:
+    ``_fit_results`` recomputes them from the parameters with the arithmetic of
+    the member's last E-step, so only the fits a caller returns pay for them."""
 
     weights: np.ndarray
     coefficients: np.ndarray
@@ -211,10 +205,28 @@ class _Run(NamedTuple):
     stop_reason: str
     iterations: int
 
-    def fit(self, data: Dataset) -> FitResult:
-        params = ModelParams(self.weights, self.coefficients, self.variances)
-        return FitResult(params, self.loglik, np.array(self.trace), posterior_probs(data, params),
-                         self.stop_reason, self.iterations)
+
+def _lane_count(G: int, J: int, n: int, gathered: bool) -> int:
+    """Runs in one EM batch: the byte budget over a run's largest per-iteration arrays, the
+    (G, J, n) product of ``_solve_betas``, the (G, n) residual, log-density and posterior
+    arrays and, for ``gathered`` rows of different samples, a (J, n) design."""
+    return max(1, _LANE_BYTES // (8 * n * (G * (J + 3) + J * gathered)))
+
+
+def _fit_results(data: Dataset, G: int, outcomes: list) -> list:
+    """Replace the _Runs among ``outcomes`` by their FitResults on ``data``, in place,
+    by one E-step per ``_lane_count`` runs, so raw arrays go as FitResults come."""
+    todo = [i for i, res in enumerate(outcomes) if isinstance(res, _Run)]
+    step = _lane_count(G, data.n_features, data.n, False)
+    for lo in range(0, len(todo), step):
+        runs = [(i, outcomes[i]) for i in todo[lo:lo + step]]
+        W, B, V = (np.array(p) for p in zip(*(run[:3] for _, run in runs)))
+        _, P, bad = _e_step(data.responses, data.design, W, B, V)
+        for (i, run), p, u in zip(runs, P, bad):
+            resp = Responsibilities(p.T, underflow=u)
+            outcomes[i] = FitResult(ModelParams(*run[:3]), run.loglik, np.array(run.trace),
+                                    resp, run.stop_reason, run.iterations)
+    return outcomes
 
 
 def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarray):
@@ -412,7 +424,7 @@ def _em_lanes(samples, G: int, config: EmConfig, members, shadows=()) -> list:
     def rows(stack, slots):
         return stack if shared else stack[slots]
 
-    lanes = max(1, _LANE_BUDGET // (G * n))
+    lanes = _lane_count(G, X.shape[-1], n, not shared)
     roots, m = np.sqrt(shadows), len(shadows)
     source = iter(members)
     # A run's key is (m + 1) * member index + rank, so a run carrying q
@@ -575,7 +587,7 @@ def run_em(
     (outcome,) = _em_lanes([data], G, config, member())
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome.fit(data)
+    return _fit_results(data, G, [outcome])[0]
 
 
 def _starts(data: Dataset, G: int, spec: ConstraintSpec, children):
@@ -639,9 +651,5 @@ def multi_start_fit(
     (outcomes,) = _pool_outcomes(data, G, config, [(spec, n_starts, seed)])
     winner = _pool_winner(outcomes)
     if not return_all:
-        return outcomes[winner].fit(data)
-    # in place, so each start's raw arrays are freed as its FitResult is built
-    for i, res in enumerate(outcomes):
-        if isinstance(res, _Run):
-            outcomes[i] = res.fit(data)
-    return outcomes[winner], outcomes
+        return _fit_results(data, G, [outcomes[winner]])[0]
+    return _fit_results(data, G, outcomes)[winner], outcomes

@@ -22,6 +22,7 @@ from .em import (
     EmConfig,
     NumericalError,
     Variant,
+    _fit_results,
     _pool_outcomes,
     _pool_winner,
 )
@@ -108,6 +109,12 @@ class StudyConfig:
         if not estimators or len(set(estimators)) < len(estimators):
             raise ValueError("estimators must list at least one variant, none twice, got "
                              f"{[v.value for v in estimators]}")
+        names = [s.name for s in self.scenarios]
+        if not names:
+            raise ValueError("scenarios must list at least one scenario")
+        twice = [name for name in names if names.count(name) > 1]
+        if twice:
+            raise ValueError(f"scenario name {twice[0]!r} is repeated; set each scenario's 'name'")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "estimators", estimators)
 
@@ -157,7 +164,7 @@ def _fit_estimator(variant, data, G, config, rep_seed, first):
     # ``first``: the estimator's entry of _first_stage
     winner = first[_pool_winner(first)]     # multi_start_fit's pick, and its errors
     if variant is not Variant.CONC:
-        return winner.fit(data), None
+        return _fit_results(data, G, [winner])[0], None
     cv = replace(config.cv, seed=rep_seed)
     fit, report = fit_conc(data, G, cv, config.em, config.n_starts,
                            target=float(winner.variances[0]))

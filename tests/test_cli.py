@@ -474,9 +474,12 @@ class TestSimulate:
         ({"scenarios": [SCENARIO], "estimators": []}, "the top level: estimators must list"),
         ({"scenarios": [SCENARIO], "estimators": ["hetn", "hetn"]},
          "the top level: estimators must list"),
+        ({"scenarios": []}, "the top level: scenarios must list"),
+        ({"scenarios": [SCENARIO, {**SCENARIO, "intercepts": [1, 2]}]},
+         "the top level: scenario name 'n60_G2_p0.5-0.5' is repeated; set each scenario's 'name'"),
     ], ids=["scenarios-int", "scenario-int", "cv-int", "top-level-list", "empty",
             "scenario-missing-fields", "c-grid-int", "zero-replications", "no-estimators",
-            "repeated-estimators"])
+            "repeated-estimators", "no-scenarios", "repeated-scenario-name"])
     def test_malformed_scenario_file_named(self, tmp_path, capsys, doc, field):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))

@@ -1,5 +1,7 @@
 """The batched EM kernel must give every member exactly its single-member result."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from clustreg import (
     ConstraintSpec,
     EmConfig,
+    FitResult,
     SingularComponentError,
     initialize,
     io,
@@ -71,8 +74,8 @@ def temperature():
 class TestPoolParity:
     @pytest.mark.parametrize("variant", ["hetn", "homn", "conc"])
     def test_iris_pool_matches_single_runs(self, iris, variant):
-        # 100 starts exceed iris's 36 lanes (G=3, n=150), so lanes are refilled
         G, n_starts, seed = 3, 100, 41
+        assert n_starts > em._lane_count(G, iris.n_features, iris.n, False)     # lanes refill
         spec = {
             "hetn": ConstraintSpec.heteroscedastic(),
             "homn": ConstraintSpec.homoscedastic(),
@@ -100,13 +103,12 @@ class TestPoolParity:
 
     def test_only_the_winner_becomes_a_fit_result(self, temperature, monkeypatch):
         built = []
-        real = em._Run.fit
 
-        def counting_fit(run, data):
-            built.append(run)
-            return real(run, data)
+        def counting_fit(*fields):
+            built.append(fields)
+            return FitResult(*fields)
 
-        monkeypatch.setattr(em._Run, "fit", counting_fit)
+        monkeypatch.setattr(em, "FitResult", counting_fit)
         args = (temperature, 5, ConstraintSpec.heteroscedastic(), EmConfig(), 100)
         best = multi_start_fit(*args, seed=8)
         assert len(built) == 1
@@ -115,6 +117,25 @@ class TestPoolParity:
         assert len(built) == 1 + len(fits)
         assert any(w is winner for w in fits)
         assert_same_outcome(best, winner)
+
+    def test_pool_results_are_built_one_batch_at_a_time(self, iris, monkeypatch):
+        # With 4 lanes, what a 200-start pool holds beyond the results it
+        # returns stays within a few lanes' per-iteration arrays; posteriors
+        # recomputed for every start at once would hold 200 lanes' worth.
+        # Five iterations keep the traced run short.
+        G, lanes = 3, 4
+        monkeypatch.setattr(em, "_lane_count", lambda *shape: lanes)
+        lane_bytes = 8 * iris.n * G * (iris.n_features + 3)
+        args = (iris, G, ConstraintSpec.heteroscedastic(), EmConfig(max_iterations=5), 200)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            result = multi_start_fit(*args, seed=3, return_all=True)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result[1]) == 200
+        assert peak - kept <= 4 * lanes * lane_bytes, (peak - kept) / (lanes * lane_bytes)
 
     def test_iteration_cap_stops_every_member(self, iris):
         _, outcomes = multi_start_fit(
@@ -128,8 +149,8 @@ class TestPoolParity:
             assert fit.loglik_trace.shape == (4,)
 
 
-# n = 1024 and G = 2 leave 8 lanes, so ten members already need a refill.
 LANE_DATA, _, _ = make_two_line_data(seed=90, n=1024)
+MAX_MEMBERS = 20
 SPECS = {
     "hetn": ConstraintSpec.heteroscedastic(),
     "homn": ConstraintSpec.homoscedastic(),
@@ -139,17 +160,19 @@ SPECS = {
 
 @settings(max_examples=15, deadline=None)
 @given(members=st.lists(st.tuples(st.integers(0, 39), st.sampled_from(sorted(SPECS))),
-                        min_size=1, max_size=14, unique_by=lambda m: m[0]))
+                        min_size=1, max_size=MAX_MEMBERS, unique_by=lambda m: m[0]))
 def test_result_independent_of_batch_composition(members):
-    # each member draws its own estimator, and one kernel call runs them all
+    # each member draws its own estimator, and one kernel call runs them all;
+    # the longest lists also refill lanes
+    assert MAX_MEMBERS > em._lane_count(2, LANE_DATA.n_features, LANE_DATA.n, False)
     config = EmConfig(tolerance=1e-10)
     specs = [SPECS[variant] for _, variant in members]
     inits = [initialize(LANE_DATA, 2, spec, seed) for (seed, _), spec in zip(members, specs)]
     batch = _em_lanes([LANE_DATA], 2, config,
                       [(0, init, em._clamp_c(spec)) for init, spec in zip(inits, specs)])
     assert len(batch) == len(members)
-    for spec, init, got in zip(specs, inits, batch):
-        assert_same_outcome(got.fit(LANE_DATA), run_em(LANE_DATA, 2, spec, config, init))
+    for spec, init, got in zip(specs, inits, em._fit_results(LANE_DATA, 2, batch)):
+        assert_same_outcome(got, run_em(LANE_DATA, 2, spec, config, init))
 
 
 def test_single_member_history_matches_trace():

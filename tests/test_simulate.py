@@ -195,6 +195,21 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=r"^estimators must list at least one variant"):
             self._config(estimators=estimators)
 
+    def test_scenarios_must_be_present(self):
+        with pytest.raises(ValueError, match=r"^scenarios must list at least one scenario"):
+            self._config(scenarios=())
+
+    def test_scenario_names_must_be_distinct(self):
+        # the default name shows n, G and the mixing only, so these two share it
+        first = ScenarioSpec(n=100, G=2, mixing=(0.5, 0.5), intercepts=(4.0, 9.0))
+        second = replace(first, intercepts=(0.0, 1.0), n_regressors=1, name="")
+        assert first.name == second.name == "n100_G2_p0.5-0.5"
+        with pytest.raises(ValueError, match=r"^scenario name 'n100_G2_p0\.5-0\.5' is "
+                                             r"repeated; set each scenario's 'name'$"):
+            self._config(scenarios=(first, second))
+        named = self._config(scenarios=(first, replace(second, name="one-regressor")))
+        assert [s.name for s in named.scenarios] == ["n100_G2_p0.5-0.5", "one-regressor"]
+
     def test_integer_fields_accept_numpy_integers(self):
         def rows(**kw):
             return [[(k, str(v)) for k, v in row.items() if k != "time_s"]

@@ -373,18 +373,18 @@ def criterion_6_cell():
 class TestMergedGrid:
     """select_c trains every split x feasible c in one kernel batch."""
 
-    @pytest.mark.parametrize("name, G, lane_budget", [
+    @pytest.mark.parametrize("name, G, lanes", [
         ("temperature", 5, None),
         ("iris", 3, None),
         # 4 lanes on temperature's 51-row training sets: lanes refill across
         # split and c boundaries
-        ("temperature", 5, 5 * 51 * 4),
+        ("temperature", 5, 4),
         # one lane: every fork waits and re-enters through the member path
-        ("temperature", 5, 5 * 51 * 1),
+        ("temperature", 5, 1),
     ])
-    def test_rows_equal_per_split_oracle(self, monkeypatch, name, G, lane_budget):
-        if lane_budget is not None:
-            monkeypatch.setattr(em, "_LANE_BUDGET", lane_budget)
+    def test_rows_equal_per_split_oracle(self, monkeypatch, name, G, lanes):
+        if lanes is not None:
+            monkeypatch.setattr(em, "_lane_count", lambda *shape: lanes)
         data = io.load_benchmark(name).data
         cv, em_config = CvConfig(seed=0), EmConfig()
         report = select_c(data, G, cv, em_config, 10)
@@ -405,7 +405,7 @@ class TestMergedGrid:
         assert list(report.rows) == want
         assert sum(math.isfinite(r.cv_loglik) for r in want) >= 10
         for lanes in (4, 1):
-            monkeypatch.setattr(em, "_LANE_BUDGET", 2 * 90 * lanes)
+            monkeypatch.setattr(em, "_lane_count", lambda *shape: lanes)
             assert list(select_c(data, 2, cv, em_config, 10).rows) == want
 
     def test_shadows_take_no_lane_until_they_fork(self, monkeypatch):
@@ -471,7 +471,7 @@ class TestInvariantFailure:
         # of the lowest c on the earliest split.
         tiny, warm = self.tiny_problem()
         cv = CvConfig(n_repeats=3, c_grid=(0.1, 0.5, 1.0), seed=2)
-        monkeypatch.setattr(em, "_LANE_BUDGET", 2 * 36 * 2)
+        monkeypatch.setattr(em, "_lane_count", lambda *shape: 2)
         seen = {}
 
         def recording_kernel(samples, G, config, members, **kwargs):
@@ -527,7 +527,7 @@ class TestInvariantFailure:
 
         j, k, message = oracle()
         broken.clear()
-        monkeypatch.setattr(em, "_LANE_BUDGET", G * 54 * 2)
+        monkeypatch.setattr(em, "_lane_count", lambda *shape: 2)
         seen, failures_before = {}, []
 
         def recording_kernel(samples, G, config, members, **kwargs):
