@@ -11,10 +11,8 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from .model import Dataset
-from .em import ConstraintSpec, EmConfig, NumericalError, multi_start_fit
+from .em import ConstraintSpec, EmConfig, NumericalError, _seed_sequence, multi_start_fit
 from .tuning import CvConfig, _estimate_target, fit_conc
 from .metrics import adjusted_rand, bic, param_mse
 from .simulate import StudyConfig, run_study
@@ -172,7 +170,7 @@ def _cmd_fit(args) -> int:
     spec = ConstraintSpec(args.variant, args.c, target)
     fit = multi_start_fit(
         data, args.components, spec, em, args.starts,
-        seed=np.random.SeedSequence(entropy=args.seed, spawn_key=(2,)),
+        seed=_seed_sequence(args.seed, 2),
     )
     return _emit_fit(args, data, fit, spec)
 

@@ -20,11 +20,12 @@ first that holds of ``STOP_REASONS``: ``degenerate`` (a variance fell below
 the floor), ``rejected_step`` (the step lowered the log-likelihood; the run
 keeps the iterate it started from), ``tolerance`` (the log-likelihood moved
 by at most tolerance * (1 + |loglik|)) and ``max_iterations``.  Its lane
-takes a waiting fork (below) or the next member, a start being initialised
-only then, in start order, on its own seed stream.  Every run enters one
-way, from its parameters through ``model``'s batched E-step, which holds the
-E-step's error state; an iteration's E-step, on the squared residuals of its
-M-step, is the kernel's, under one error state shared with its stop test.
+takes a waiting fork (below) or the next member; a pool's starts are
+initialised a lane batch at a time, each on its own seed stream, with the bits
+it has alone.  Every run enters one way, from its parameters through
+``model``'s batched E-step, which holds the E-step's error state; an
+iteration's E-step, on the squared residuals of its M-step, is the kernel's,
+under one error state shared with its stop test.
 Every member runs to its end; the outcomes come back in (c, member) order as
 raw arrays, which only a caller returning a FitResult turns into one,
 recomputing the posteriors.  A failed member's outcome is a NumericalError.
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -60,6 +62,7 @@ from .model import (
     _E_STEP_ERRORS,
     _PARAM_FAULTS,
     Dataset,
+    InvalidParameterError,
     ModelParams,
     Responsibilities,
     _check_params,
@@ -328,41 +331,76 @@ def clamp_variances(raw: np.ndarray, spec: ConstraintSpec) -> np.ndarray:
                    spec.target_variance / root)
 
 
-def initialize(data: Dataset, G: int, spec: ConstraintSpec, seed) -> ModelParams:
-    """Random near-equal hard partition + per-group OLS starting values.
+_Start = namedtuple("_Start", "weights coefficients variances")    # a checked start
 
-    Weights start uniform.  Variances start at the pooled residual variance,
-    except for the constrained variant where they start exactly at the target
-    (feasible for any c).
-    """
+
+def _seed_sequence(seed, *spawn_key) -> np.random.SeedSequence:
+    """A SeedSequence ``seed`` as it is, or the stream ``spawn_key`` of an integer seed >= 0."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    _require_int("seed", seed, low=0)
+    return np.random.SeedSequence(seed, spawn_key=spawn_key)
+
+
+def _init_starts(data: Dataset, G: int, spec: ConstraintSpec, seeds) -> list:
+    """``initialize`` of one start per seed, solved together: each start's _Start or
+    SingularComponentError.  A start breaking an invariant raises as its ModelParams would."""
     n, J = data.n, data.n_features
     if G < 1:
         raise ValueError("G must be >= 1")
     if n < G * (J + 1):
         raise ValueError(f"need n >= G*(J+1) = {G * (J + 1)}, got {n}")
-    rng = np.random.default_rng(seed)
-    X, y = data.design, data.responses
-    size, extra = divmod(n, G)      # np.array_split's cut points
-    cuts = [g * size + min(g, extra) for g in range(G + 1)]
+    rngs = [np.random.default_rng(_seed_sequence(s)) for s in seeds]
+    size, extra = divmod(n, G)      # np.array_split's groups: `extra` of size + 1, then of size
+    stacks = [(lo, hi) for lo, hi in ((0, extra), (extra, G)) if lo < hi]
+    betas, ss = np.empty((len(rngs), G, J)), np.empty((len(rngs), G))
+    pending = np.arange(len(rngs))
     for _ in range(_INIT_ATTEMPTS):
-        perm = rng.permutation(n)
-        betas = np.empty((G, J))
-        ss = 0.0
-        for g, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            Xg, yg = X[perm[lo:hi]], y[perm[lo:hi]]
-            coef, _, rank, _ = np.linalg.lstsq(Xg, yg, rcond=None)
-            if rank < J:
-                break
-            betas[g] = coef
-            r = yg - Xg @ coef
-            ss += float(r @ r)
-        else:
-            pooled = ss / n
-            if pooled <= 0.0:
-                pooled = max(1e-12 * float(np.var(y)), _TINY)
-            start = spec.target_variance if spec.variant is Variant.CONC else pooled
-            return ModelParams(np.full(G, 1.0 / G), betas, np.full(G, start))
-    raise SingularComponentError(None, f"no full-rank start partition in {_INIT_ATTEMPTS} tries")
+        if not pending.size:
+            break
+        perms = np.array([rngs[i].permutation(n) for i in pending])
+        full = np.ones(pending.size, dtype=bool)
+        for lo, hi in stacks:
+            rows = perms[:, lo * (size + 1):hi * size + extra].reshape(pending.size, hi - lo, -1)
+            Xg, yg = data.design[rows], data.responses[rows]
+            U, s, Vt = np.linalg.svd(Xg, full_matrices=False)
+            # lstsq's rank rule; a dropped singular value's direction gets no weight
+            kept = s > np.finfo(float).eps * max(rows.shape[-1], J) * s[..., :1]
+            full &= kept.all(axis=(1, 2))
+            uy = (U.swapaxes(-1, -2) @ yg[..., None])[..., 0] / np.where(kept, s, np.inf)
+            betas[pending, lo:hi] = coef = (Vt.swapaxes(-1, -2) @ uy[..., None])[..., 0]
+            r = yg - (Xg @ coef[..., None])[..., 0]
+            ss[pending, lo:hi] = np.einsum("...m,...m->...", r, r)
+        pending = pending[~full]
+    ok = ~np.isin(np.arange(len(rngs)), pending)
+    # the groups' sums in group order, as a running total: a pairwise sum rounds differently
+    B, pooled = betas[ok], np.cumsum(ss[ok], axis=1)[:, -1] / n
+    if (pooled <= 0.0).any():
+        pooled[pooled <= 0.0] = max(1e-12 * float(np.var(data.responses)), _TINY)
+    start = np.full_like(pooled, spec.target_variance) if spec.variant is Variant.CONC else pooled
+    W, V = np.full(B.shape[:2], 1.0 / G), np.repeat(start[:, None], G, axis=1)
+    faults = _check_params(W, B, V)
+    if (faults >= 0).any():
+        raise InvalidParameterError(_PARAM_FAULTS[faults[faults >= 0][0]])
+    starts = map(_Start, W, B, V)
+    failed = f"no full-rank start partition in {_INIT_ATTEMPTS} tries"
+    return [next(starts) if good else SingularComponentError(None, failed) for good in ok]
+
+
+def initialize(data: Dataset, G: int, spec: ConstraintSpec, seed) -> ModelParams:
+    """Random near-equal hard partition + per-group least squares starting values.
+
+    The groups are np.array_split's of a permutation of ``seed``'s stream (an
+    integer >= 0 or a SeedSequence), redrawn up to 20 times while one has rank
+    below J, its count of singular values above eps*max(rows, J)*s_max (lstsq's
+    rule).  A group's coefficients are V'((U'y)/s) from its thin SVD.  Weights
+    start uniform, variances at the pooled residual variance or, for the
+    constrained variant, exactly at the target (feasible for any c).
+    """
+    (start,) = _init_starts(data, G, spec, [seed])
+    if isinstance(start, Exception):
+        raise start
+    return ModelParams(*start)
 
 
 def _update_variances(ss, totals, n, roots, shadows=None):
@@ -591,13 +629,11 @@ def run_em(
 
 
 def _starts(data: Dataset, G: int, spec: ConstraintSpec, children):
-    # Initialised when a lane frees up, in start order, each on its own stream.
-    for child in children:
-        try:
-            init = initialize(data, G, spec, child)
-        except SingularComponentError as exc:
-            init = exc
-        yield 0, init, _clamp_c(spec)
+    # Initialised a lane batch at a time, when the kernel takes the batch's first start.
+    step = _lane_count(G, data.n_features, data.n, False)
+    for lo in range(0, len(children), step):
+        for init in _init_starts(data, G, spec, children[lo:lo + step]):
+            yield 0, init, _clamp_c(spec)
 
 
 def _pool_outcomes(data: Dataset, G: int, config: EmConfig, pools) -> list:
@@ -611,8 +647,7 @@ def _pool_outcomes(data: Dataset, G: int, config: EmConfig, pools) -> list:
     for spec, n_starts, seed in pools:
         if n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        starts.append(_starts(data, G, spec, base.spawn(n_starts)))
+        starts.append(_starts(data, G, spec, _seed_sequence(seed).spawn(n_starts)))
     outcomes = iter(_em_lanes([data], G, config, itertools.chain(*starts)))
     return [list(itertools.islice(outcomes, n_starts)) for _, n_starts, _ in pools]
 

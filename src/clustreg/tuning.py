@@ -27,6 +27,7 @@ from .em import (
     _em_lanes,
     _feasible,
     _raise_fatal,
+    _seed_sequence,
     multi_start_fit,
 )
 
@@ -65,6 +66,7 @@ class CvConfig:
     def __post_init__(self):
         if self.n_repeats is not None:
             _require_int("n_repeats", self.n_repeats)
+        _require_int("seed", self.seed, low=0)
         if not (0.0 < self.test_fraction < 1.0):
             raise ValueError("test_fraction must be in (0, 1)")
         grid = tuple(float(c) for c in self.c_grid)
@@ -163,7 +165,7 @@ def cv_loglik(
 
 def _target_pool(seed):
     """(spec, seed) of ConC's target pool: a HomN pool on its own stream of ``seed``."""
-    return ConstraintSpec.homoscedastic(), np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+    return ConstraintSpec.homoscedastic(), _seed_sequence(seed, 0)
 
 
 def _estimate_target(data: Dataset, G: int, seed, em: EmConfig, n_starts: int) -> float:
@@ -191,7 +193,7 @@ def select_c(data: Dataset, G: int, cv: CvConfig, em: EmConfig, n_starts: int,
         target = _estimate_target(data, G, cv.seed, em, n_starts)
     warm = multi_start_fit(
         data, G, ConstraintSpec.constrained(cv.c_grid[0], target), em, n_starts,
-        seed=np.random.SeedSequence(entropy=cv.seed, spawn_key=(1,)),
+        seed=_seed_sequence(cv.seed, 1),
     )
     rows = cv_loglik(data, warm.params, cv, em)
     return CvReport(
@@ -218,6 +220,6 @@ def fit_conc(
     spec = ConstraintSpec.constrained(report.selected_c, report.target_variance)
     final = multi_start_fit(
         data, G, spec, em, n_starts,
-        seed=np.random.SeedSequence(entropy=cv.seed, spawn_key=(2,)),
+        seed=_seed_sequence(cv.seed, 2),
     )
     return final, report

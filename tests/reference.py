@@ -2,8 +2,9 @@
 
 The program has no use for these.  ``component_density`` is one component's
 normal density at one point, ``m_step_weights`` the M-step's mixing
-proportions, and ``em_history`` the iterates of an EM run, which the kernel
-does not record.  Keeping them here keeps the oracle independent of the
+proportions, ``svd_lstsq`` one group's least-squares starting coefficients,
+and ``em_history`` the iterates of an EM run, which the kernel does not
+record.  Keeping them here keeps the oracle independent of the
 kernel and out of the package.
 """
 
@@ -29,6 +30,13 @@ def component_density(y: float, x, beta, sigma2: float) -> float:
 def m_step_weights(resp) -> np.ndarray:
     """Mixing proportions: column means of the responsibilities."""
     return resp.probs.mean(axis=0)
+
+
+def svd_lstsq(X, y) -> np.ndarray:
+    """Minimum-norm least squares of one full-rank group, V'((U'y)/s) from its thin SVD:
+    the arithmetic ``initialize`` applies to each group of a start's partition."""
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    return Vt.T @ ((U.T @ y) / s)
 
 
 def em_history(data, G, spec, config, init):

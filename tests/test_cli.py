@@ -67,7 +67,12 @@ class TestUsageErrors:
          "tolerance must be positive"),
         (["fit", "--variant", "hetn", "--components", "2", "--tol", "inf"],
          "tolerance must be finite"),
-    ], ids=["fit-G0", "tune-G0", "tol-nan", "tol-inf"])
+        (["fit", "--variant", "hetn", "--components", "2", "--seed", "-5"],
+         "seed must be an integer >= 0, got -5"),
+        (["fit", "--variant", "conc", "--c", "0.5", "--components", "2", "--seed", "-5"],
+         "seed must be an integer >= 0, got -5"),
+        (["tune", "--components", "2", "--seed", "-5"], "seed must be an integer >= 0, got -5"),
+    ], ids=["fit-G0", "tune-G0", "tol-nan", "tol-inf", "fit-seed", "conc-seed", "tune-seed"])
     def test_bad_em_arguments(self, data_csv, tmp_path, capsys, args, message):
         out = tmp_path / "o.json"
         code = run([*args, "--input", str(data_csv), "--response", "y", "--regressors", "x",

@@ -12,6 +12,7 @@ from clustreg import (
     CvConfig,
     Dataset,
     EmConfig,
+    InvalidParameterError,
     ModelParams,
     NumericalError,
     Responsibilities,
@@ -32,7 +33,7 @@ from clustreg import (
 )
 from clustreg import em, io
 from conftest import make_two_line_data, random_dataset, random_params
-from reference import component_density, em_history, m_step_weights
+from reference import component_density, em_history, m_step_weights, svd_lstsq
 
 
 def mp_weighted_ols(X, y, z):
@@ -484,14 +485,17 @@ class TestInitialize:
             initialize(data, 0, ConstraintSpec.heteroscedastic(), seed=0)
 
     def test_groups_are_array_split_of_the_permutation(self):
-        # each group's coefficients are the OLS fit of np.array_split's group
+        # each group's coefficients are the SVD least-squares fit of np.array_split's
+        # group, bit for bit, and lstsq's up to rounding
         data, _, _ = make_two_line_data(seed=14, n=23)
         for G in (1, 2, 3, 5):
             params = initialize(data, G, ConstraintSpec.heteroscedastic(), seed=G)
             perm = np.random.default_rng(G).permutation(data.n)
             for g, idx in enumerate(np.array_split(perm, G)):
-                coef, *_ = np.linalg.lstsq(data.design[idx], data.responses[idx], rcond=None)
-                assert np.array_equal(params.coefficients[g], coef)
+                X, y = data.design[idx], data.responses[idx]
+                assert np.array_equal(params.coefficients[g], svd_lstsq(X, y))
+                coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+                np.testing.assert_allclose(params.coefficients[g], coef, rtol=1e-12)
 
     def test_no_full_rank_partition_names_no_component(self):
         data = Dataset(np.arange(12.0), np.ones((12, 2)))    # collinear columns
@@ -499,6 +503,130 @@ class TestInitialize:
             initialize(data, 2, ConstraintSpec.heteroscedastic(), seed=0)
         assert info.value.component is None
         assert str(info.value) == "no full-rank start partition in 20 tries"
+
+
+class TestBatchedStarts:
+    """A pool's starts are solved together, a lane batch at a time, with the bits of
+    ``initialize``: each start draws from its own stream, and NumPy's stacked SVD
+    solves each group's matrix on its own."""
+
+    HETN = ConstraintSpec.heteroscedastic()
+
+    @staticmethod
+    def binary_design(n=24):
+        # two ones in the binary column: a group without one has rank 2 < J = 3,
+        # so about half of the first partitions are redrawn
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(n), np.arange(n) < 2, rng.normal(size=n)])
+        return Dataset(X @ [1.0, 2.0, -1.0] + rng.normal(size=n), X)
+
+    @staticmethod
+    def fields(start):
+        return start.weights, start.coefficients, start.variances
+
+    def test_chunk_size_changes_no_bit(self, monkeypatch):
+        data = io.load_benchmark("temperature").data    # G = 5: groups of 12 and of 11 rows
+        G, children = 5, np.random.SeedSequence(8).spawn(100)
+        lanes = em._lane_count(G, data.n_features, data.n, False)
+        assert len(children) > lanes
+        chunked = []
+        for step in (1, 7, lanes):
+            monkeypatch.setattr(em, "_lane_count", lambda *shape, step=step: step)
+            chunked.append([init for _, init, _ in em._starts(data, G, self.HETN, children)])
+        for child, *starts in zip(children, *chunked):
+            want = self.fields(initialize(data, G, self.HETN, child))
+            for start in starts:
+                assert all(map(np.array_equal, self.fields(start), want))
+
+    def test_redrawn_partitions_match_a_start_alone(self, monkeypatch):
+        data, G = self.binary_design(), 2
+        children = np.random.SeedSequence(5).spawn(30)
+        default_rng, made = np.random.default_rng, []
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng, self.draws = default_rng(seed), 0
+                made.append(self)
+
+            def permutation(self, n):
+                self.draws += 1
+                return self.rng.permutation(n)
+
+        def draws_needed(child):
+            # the oracle: permutations drawn until every group has full rank
+            rng = default_rng(child)
+            for draws in range(1, 21):
+                groups = np.array_split(rng.permutation(data.n), G)
+                if all(np.linalg.matrix_rank(data.design[g]) == 3 for g in groups):
+                    return draws
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        batch = em._init_starts(data, G, self.HETN, children)
+        batch_draws = [rng.draws for rng in made]
+        for child, start, draws in zip(children, batch, batch_draws):
+            made.clear()
+            (alone,) = em._init_starts(data, G, self.HETN, [child])
+            assert all(map(np.array_equal, self.fields(start), self.fields(alone)))
+            assert draws == made[0].draws == draws_needed(child)
+        assert min(batch_draws) == 1 and max(batch_draws) > 2
+
+    def test_collinear_columns_fail_every_start(self):
+        data = Dataset(np.arange(12.0), np.ones((12, 2)))
+        starts = em._init_starts(data, 2, self.HETN, np.random.SeedSequence(0).spawn(3))
+        assert [str(s) for s in starts] == ["no full-rank start partition in 20 tries"] * 3
+        assert all(isinstance(s, SingularComponentError) and s.component is None
+                   for s in starts)
+        with pytest.raises(SingularComponentError, match="^all 3 starts failed: no full-rank "
+                           r"start partition in 20 tries \(3 starts\)$"):
+            multi_start_fit(data, 2, self.HETN, EmConfig(), 3, seed=0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_groups_match_extended_precision_least_squares(self, offset):
+        # a shifted regressor makes the groups' designs ill-conditioned
+        data, _, _ = make_two_line_data(seed=14, n=23)
+        data = Dataset(data.responses, data.design + [0.0, offset])
+        for G in (1, 2, 3):
+            params = initialize(data, G, self.HETN, seed=G)
+            perm = np.random.default_rng(G).permutation(data.n)
+            for g, idx in enumerate(np.array_split(perm, G)):
+                want = mp_weighted_ols(data.design[idx], data.responses[idx], np.ones(idx.size))
+                np.testing.assert_allclose(params.coefficients[g], want, rtol=1e-10)
+
+    def test_iris_pool_solves_its_starts_in_lane_batches(self, monkeypatch):
+        iris = io.load_benchmark("iris").data
+        calls = {"lstsq": 0, "svd": 0, "chunks": 0}
+
+        def counting(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(em, "_init_starts", counting("chunks", em._init_starts))
+        multi_start_fit(iris, 3, self.HETN, EmConfig(), 500, seed=77)
+        chunks = math.ceil(500 / em._lane_count(3, iris.n_features, iris.n, False))
+        # 150 rows in three groups of 50: one stacked SVD per chunk
+        assert calls == {"lstsq": 0, "svd": chunks, "chunks": chunks} and chunks == 7
+
+    def test_start_breaking_an_invariant_raises_as_its_model_params_would(self):
+        rng = np.random.default_rng(0)
+        X = np.column_stack([np.ones(30), rng.normal(size=30)])
+        data = Dataset(rng.normal(size=30) * 1e155, X)     # the residual squares overflow
+        with pytest.raises(InvalidParameterError, match="^non-finite parameter values$"):
+            initialize(data, 2, self.HETN, seed=0)
+        with pytest.raises(InvalidParameterError, match="^non-finite parameter values$"):
+            em._init_starts(data, 2, self.HETN, np.random.SeedSequence(0).spawn(3))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        data, _, _ = make_two_line_data(seed=22, n=60)
+        message = f"^seed must be an integer >= 0, got {seed!r}$"
+        with pytest.raises(ValueError, match=message):
+            initialize(data, 2, self.HETN, seed)
+        with pytest.raises(ValueError, match=message):
+            multi_start_fit(data, 2, self.HETN, EmConfig(), 3, seed=seed)
 
 
 class TestRunEm:
@@ -829,10 +957,10 @@ class TestMultiStart:
                        SingularComponentError(1, "effective sample size 0.5 < 2"),
                        SingularComponentError(None, "no start")])
 
-        def failing_initialize(*args):
-            raise next(errors)
+        def failing_starts(data, G, spec, seeds):
+            return [next(errors) for _ in seeds]
 
-        monkeypatch.setattr(em, "initialize", failing_initialize)
+        monkeypatch.setattr(em, "_init_starts", failing_starts)
         data, _, _ = make_two_line_data(seed=22, n=60)
         with pytest.raises(SingularComponentError) as info:
             multi_start_fit(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(), 3, seed=1)

@@ -373,16 +373,16 @@ class TestSharedFirstStage:
                              estimators=(Variant.HOMN, Variant.HETN, Variant.CONC),
                              cv=CvConfig(n_repeats=2, c_grid=(0.1, 1.0)), seed=7)
         seeds = [rep_seed for *_, rep_seed in _replications(config)]
-        initialize = em.initialize
+        init_starts = em._init_starts
 
-        def failing(data, G, spec, seed):
+        def failing(data, G, spec, streams):
             # every start of replication 1's target pool: streams (0, i) of its seed
-            if seed.entropy == seeds[1] and len(seed.spawn_key) == 2 and seed.spawn_key[0] == 0:
-                raise SingularComponentError(None, "no start")
-            return initialize(data, G, spec, seed)
+            return [SingularComponentError(None, "no start") if seed.entropy == seeds[1]
+                    and len(seed.spawn_key) == 2 and seed.spawn_key[0] == 0 else start
+                    for seed, start in zip(streams, init_starts(data, G, spec, streams))]
 
         _, intact = run_study(config, keep_replications=True)
-        monkeypatch.setattr(em, "initialize", failing)
+        monkeypatch.setattr(em, "_init_starts", failing)
         rows, records = run_study(config, keep_replications=True)
         assert [(row["estimator"], row["n_failed"]) for row in rows] == [
             ("homn", 0), ("hetn", 0), ("conc", 1)]

@@ -84,6 +84,15 @@ class TestCvConfig:
                 CvConfig(n_repeats=bad)
         assert CvConfig(n_repeats=np.int64(3)).resolve_repeats(50) == 3
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, bad):
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {bad!r}$"):
+            CvConfig(seed=bad)
+
+    def test_seed_accepts_zero_and_numpy_integers(self):
+        assert CvConfig(seed=0).seed == 0
+        assert CvConfig(seed=np.uint32(7)).seed == 7
+
 
 class TestMakeSplit:
     def test_partition_contract(self):
