@@ -10,33 +10,26 @@ ConstraintSpec only seeds the starting values and the initial guess's check.
 
 There is one EM loop, the private lane kernel ``_em_lanes``.  It advances a
 batch of runs -- the starts of a pool, or every split x feasible c of a CV
-grid -- together: parameters and posteriors carry a leading run axis, so one
-iteration is a few NumPy calls whatever the batch size.  Runs may use
-different samples of one size (the training sets of a CV grid); each carries
-its sample's slot, and a batch on one sample broadcasts it.  The batch holds
-at most ``_lane_count`` runs (a fixed budget of bytes, counting G, J, n).  A
-run leaves when a check fails or an iteration gives it a stop reason, the
-first that holds of ``STOP_REASONS``: ``degenerate`` (a variance fell below
-the floor), ``rejected_step`` (the step lowered the log-likelihood; the run
-keeps the iterate it started from), ``tolerance`` (the log-likelihood moved
-by at most tolerance * (1 + |loglik|)) and ``max_iterations``.  Its lane
-takes a waiting fork (below) or the next member; a pool's starts are
-initialised a lane batch at a time, each on its own seed stream, with the bits
-it has alone.  Every run enters one way, from its parameters through
-``model``'s batched E-step, which holds the E-step's error state; an
-iteration's E-step, on the squared residuals of its M-step, is the kernel's,
-under one error state shared with its stop test.
-Every member runs to its end; the outcomes come back in (c, member) order as
-raw arrays, which only a caller returning a FitResult turns into one,
-recomputing the posteriors.  A failed member's outcome is a NumericalError.
-Only a SingularComponentError (singular M-step, no full-rank start) fails the
-member alone; ``_raise_fatal`` raises the first other one, in outcome order.
-Each per-run operation is the same floating-point arithmetic as a run on its
-own, so a result does not depend on its batch.  ``run_em`` is the one-member
-call; ``_pool_outcomes`` runs multi-start pools on one sample as one batch,
-and ``multi_start_fit`` is its one-pool call.  The M-step's check, a 2-norm
-condition number above 1e12, is screened by a trace/determinant bound that
-changes no bit.
+grid -- together, one per row (lane) of arrays allocated once per call, at
+most ``_lane_count`` (a budget of bytes), so one iteration is a few NumPy
+calls whatever the batch size.  Runs may use different samples of one size (a
+CV grid's training sets), each lane holding its own.  A run leaves when a
+check fails or an iteration gives it a stop reason, the first that holds of
+``STOP_REASONS``: ``degenerate`` (a variance fell below the floor),
+``rejected_step`` (the step lowered the log-likelihood; the run keeps the
+iterate it started from), ``tolerance`` (the log-likelihood moved by at most
+tolerance * (1 + |loglik|)) and ``max_iterations``.  At c = 0 and 1 the M-step
+maximizes exactly, so a drop within the tolerance is rounding and ends as
+``tolerance``, keeping the iterate it started from.  Tail lanes move into the
+rows of those that leave; a waiting fork (below), then the next member, enters
+the tail through an E-step from its parameters.  Every member runs to its end;
+the outcomes come back in (c, member) order as raw arrays, which only a caller
+returning a FitResult turns into one, checked a batch at a time.  A failed
+member's outcome is a NumericalError.  Only a SingularComponentError (singular
+M-step, no full-rank start) fails the member alone; ``_raise_fatal`` raises
+the first other one, in outcome order.  Each per-run operation is the same
+floating-point arithmetic as a run on its own, so a result depends on neither
+its batch nor its lane.
 
 Members that differ only in a larger c share a lane: until its clamp first
 binds, such a member repeats bit for bit the steps at the smallest c, since
@@ -54,22 +47,24 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
     _E_STEP_ERRORS,
     _PARAM_FAULTS,
+    _PROB_FAULTS,
     Dataset,
-    InvalidParameterError,
     ModelParams,
     Responsibilities,
     _check_params,
+    _check_probs,
     _e_step,
     _e_step_arrays,
+    _raise_first,
     _require_int,
     _residual_rows,
+    _unchecked,
     classify,
     min_variance_ratio,
 )
@@ -93,7 +88,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _TINY = np.finfo(float).tiny   # the smallest positive normal float
-_LANE_BYTES = 5 * 2**18      # one EM batch's largest per-iteration arrays (_lane_count)
+_LANE_BYTES = 3 * 2**19      # the bytes of one EM batch's lane arrays (_lane_count)
 _INIT_ATTEMPTS = 20
 # Why an EM run stopped, in order of precedence when several hold at once.
 STOP_REASONS = ("degenerate", "rejected_step", "tolerance", "max_iterations")
@@ -173,11 +168,6 @@ class EmConfig:
         if self.variance_floor is not None and not self.variance_floor > 0:
             raise ValueError("variance_floor must be positive")
 
-    def resolve_floor(self, data: Dataset) -> float:
-        if self.variance_floor is not None:
-            return self.variance_floor
-        return 1e-10 * float(np.var(data.responses))
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -195,44 +185,39 @@ class FitResult:
     labels = property(lambda self: classify(self.responsibilities))
 
 
-class _Run(NamedTuple):
-    """A member's end state as the EM kernel leaves it, posteriors left out:
-    ``_fit_results`` recomputes them from the parameters with the arithmetic of
-    the member's last E-step, so only the fits a caller returns pay for them."""
-
-    weights: np.ndarray
-    coefficients: np.ndarray
-    variances: np.ndarray
-    loglik: float
-    trace: list
-    stop_reason: str
-    iterations: int
+# A member's end state as the EM kernel leaves it, posteriors left out: _fit_results
+# recomputes them with the arithmetic of its last E-step, for the fits a caller returns.
+_Run = namedtuple("_Run", "weights coefficients variances loglik trace stop_reason iterations")
 
 
 def _lane_count(G: int, J: int, n: int, gathered: bool) -> int:
-    """Runs in one EM batch: the byte budget over a run's largest per-iteration arrays, the
-    (G, J, n) product of ``_solve_betas``, the (G, n) residual, log-density and posterior
-    arrays and, for ``gathered`` rows of different samples, a (J, n) design."""
-    return max(1, _LANE_BYTES // (8 * n * (G * (J + 3) + J * gathered)))
+    """Runs in one EM batch: the byte budget over the kernel's arrays of a run, its (G, J, n)
+    product in ``_solve_betas`` (whose head holds the squared residuals), (G, n) posteriors
+    and, for ``gathered`` rows of different samples, its sample's design, transpose and y."""
+    return max(1, _LANE_BYTES // (8 * n * (G * (J + 1) + (2 * J + 1) * gathered)))
 
 
 def _fit_results(data: Dataset, G: int, outcomes: list) -> list:
-    """Replace the _Runs among ``outcomes`` by their FitResults on ``data``, in place,
-    by one E-step per ``_lane_count`` runs, so raw arrays go as FitResults come."""
+    """Replace the _Runs among ``outcomes`` by their FitResults on ``data``, in place, by
+    one E-step per ``_lane_count`` runs, so raw arrays go as FitResults come.  A batch's
+    stacked parameters, then posteriors, get ModelParams' and Responsibilities' checks."""
     todo = [i for i, res in enumerate(outcomes) if isinstance(res, _Run)]
     step = _lane_count(G, data.n_features, data.n, False)
     for lo in range(0, len(todo), step):
         runs = [(i, outcomes[i]) for i in todo[lo:lo + step]]
         W, B, V = (np.array(p) for p in zip(*(run[:3] for _, run in runs)))
+        _raise_first(_check_params(W, B, V), _PARAM_FAULTS)
         _, P, bad = _e_step(data.responses, data.design, W, B, V)
-        for (i, run), p, u in zip(runs, P, bad):
-            resp = Responsibilities(p.T, underflow=u)
-            outcomes[i] = FitResult(ModelParams(*run[:3]), run.loglik, np.array(run.trace),
-                                    resp, run.stop_reason, run.iterations)
+        P = P.swapaxes(-1, -2)      # each run's (n, G) posteriors, as Responsibilities holds them
+        _raise_first(_check_probs(P), _PROB_FAULTS, ValueError)
+        for (i, run), w, b, v, p, u in zip(runs, W, B, V, P, bad):
+            outcomes[i] = FitResult(_unchecked(ModelParams, w, b, v), run.loglik,
+                                    np.array(run.trace), _unchecked(Responsibilities, p, u),
+                                    run.stop_reason, run.iterations)
     return outcomes
 
 
-def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarray):
+def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarray, out=None):
     """Weighted least squares of A members at once: ((A, G, J) coefficients, failures).
 
     Xt holds (S, J, n) transposed designs and y (S, 1, n) responses, S being
@@ -248,7 +233,7 @@ def _solve_betas(Xt: np.ndarray, y: np.ndarray, Z: np.ndarray, totals: np.ndarra
     # acceptance check (criterion 3) passing.
     J = Xt.shape[-2]
     Xt = Xt[:, None]
-    XZ = Xt * Z[..., None, :]                     # (A, G, J, n)
+    XZ = np.multiply(Xt, Z[..., None, :], out=out)     # (A, G, J, n), into out if given
     A = XZ @ Xt.swapaxes(-1, -2)                  # (A, G, J, J)
     b = np.einsum("...jn,...n->...j", XZ, y)      # (A, G, J)
     bad = totals < J
@@ -379,9 +364,7 @@ def _init_starts(data: Dataset, G: int, spec: ConstraintSpec, seeds) -> list:
         pooled[pooled <= 0.0] = max(1e-12 * float(np.var(data.responses)), _TINY)
     start = np.full_like(pooled, spec.target_variance) if spec.variant is Variant.CONC else pooled
     W, V = np.full(B.shape[:2], 1.0 / G), np.repeat(start[:, None], G, axis=1)
-    faults = _check_params(W, B, V)
-    if (faults >= 0).any():
-        raise InvalidParameterError(_PARAM_FAULTS[faults[faults >= 0][0]])
+    _raise_first(_check_params(W, B, V), _PARAM_FAULTS)
     starts = map(_Start, W, B, V)
     failed = f"no full-rank start partition in {_INIT_ATTEMPTS} tries"
     return [next(starts) if good else SingularComponentError(None, failed) for good in ok]
@@ -448,21 +431,18 @@ def _em_lanes(samples, G: int, config: EmConfig, members, shadows=()) -> list:
         raise ValueError("G must be >= 1")
     n = samples[0].n
     # (S, n, J) designs, (S, J, n) transposes and (S, 1, n) responses.  Both
-    # design layouts are kept because BLAS rounds them differently.  With one
-    # sample S = 1 broadcasts over the lanes; otherwise the lanes' rows are
-    # gathered where they are used, so only one gathered copy is alive at once.
+    # design layouts are kept because BLAS rounds them differently.
     X = np.stack([s.design for s in samples])
     Xt = np.ascontiguousarray(X.swapaxes(-1, -2))
     Y = np.stack([s.responses for s in samples])[:, None, :]
     if (Y.max(axis=-1) == Y.min(axis=-1)).any():
         raise NumericalError("responses have no spread (max == min)")
-    floors = np.array([config.resolve_floor(s) for s in samples])
-    shared = len(samples) == 1
-
-    def rows(stack, slots):
-        return stack if shared else stack[slots]
-
-    lanes = _lane_count(G, X.shape[-1], n, not shared)
+    with np.errstate(over="ignore", invalid="ignore"):
+        floors = 1e-10 * np.var(Y[:, 0], axis=-1)
+    if not np.isfinite(floors).all():
+        raise NumericalError("the variance of the responses overflows; rescale them")
+    shared, J = len(samples) == 1, X.shape[-1]
+    lanes = _lane_count(G, J, n, not shared)
     roots, m = np.sqrt(shadows), len(shadows)
     source = iter(members)
     # A run's key is (m + 1) * member index + rank, so a run carrying q
@@ -470,130 +450,148 @@ def _em_lanes(samples, G: int, config: EmConfig, members, shadows=()) -> list:
     # log-likelihood trace of each run in a lane, and the entry of each
     # waiting fork.
     outcomes, logs, forks = {}, {}, {}
-    taken = 0         # members taken from the source
-    # Lane state, one row per run in logs: key, slot (its sample), w/b/v
-    # (weights, coefficients, variances), p (posteriors), ll (log-likelihood),
-    # it (iterations), root (sqrt c) and q (shadows carried: ranks 1..q).
-    lane = None
+    # Lane state: rows 0..a-1 of `size` allocated at the first refill, one per
+    # run in logs: key, slot (its sample), it (iterations), q (shadows carried:
+    # ranks 1..q), ll, root (sqrt c), floor, w/b/v, p (posteriors) and, with
+    # several samples, `own`: the lane's design, transpose and responses.
+    # Buffer xz holds the product of _solve_betas, its head sq the squares.
+    a = size = taken = 0        # taken: members taken from the source
 
-    def leave(a, outcome):
-        k = int(lane["key"][a])
+    def leave(i, outcome):
+        k = int(key[i])
         trace = logs.pop(k)
-        if isinstance(outcome, str):
-            # copies, so an outcome does not hold the whole batch's arrays
-            outcome = _Run(
-                lane["w"][a].copy(), lane["b"][a].copy(), lane["v"][a].copy(),
-                float(lane["ll"][a]), trace, outcome, int(lane["it"][a]),
-            )
-        outcomes.update(dict.fromkeys(range(k, k + int(lane["q"][a]) + 1), outcome))
+        if isinstance(outcome, str):        # copies: the row will be reused
+            outcome = _Run(w[i].copy(), b[i].copy(), v[i].copy(), float(ll[i]), trace, outcome,
+                           int(it[i]))
+        outcomes.update(dict.fromkeys(range(k, k + int(q[i]) + 1), outcome))
 
-    def keep(mask, *arrays):
-        nonlocal lane
-        lane = {key: arr[mask] for key, arr in lane.items()}
-        return [arr[mask] for arr in arrays]
+    def compact(gone, *arrays):     # lanes flagged gone leave; tail lanes take their rows
+        nonlocal a
+        kept = a - int(gone.sum())
+        holes = np.flatnonzero(gone[:kept])
+        if holes.size:          # else every leaver is in the tail
+            movers = kept + np.flatnonzero(~gone[kept:])
+            for arr in (*state, *arrays):
+                arr[holes] = arr[movers]
+        a = kept
+        return [arr[:kept] for arr in arrays]
+
+    def data(lo, hi):       # design, transpose and responses of lanes lo..hi-1
+        return (X, Xt, Y) if shared else [rows[lo:hi] for rows in own]
+
+    def squares(lo, hi, coefficients):      # of lanes lo..hi-1, into sq
+        x, _, y = data(lo, hi)
+        resid = _residual_rows(y, x, coefficients, out=sq[lo:hi])
+        return np.multiply(resid, resid, out=resid)
 
     while True:
         # refill: waiting forks first, in key order, then new members.  Both
-        # enter as (key, slot, parameters, iterations, trace, c, q)
+        # enter the tail as (key, slot, iterations, q, c, trace, parameters)
         # through the first E-step, which gives a fork back bit for bit the
         # posteriors and log-likelihood it left with.
         entering = []
-        while len(entering) < lanes - len(logs):
+        while len(entering) < lanes - a:
             if forks:
                 entering.append(forks.pop(min(forks)))
                 continue
             item = next(source, None)
             if item is None:
                 break
-            (slot, init, c), key = item, (m + 1) * taken
+            (sample, init, c), k = item, (m + 1) * taken
             taken += 1
             if isinstance(init, Exception):
-                outcomes.update(dict.fromkeys(range(key, key + m + 1), init))
+                outcomes.update(dict.fromkeys(range(k, k + m + 1), init))
                 continue
-            entering.append((key, slot, (init.weights, init.coefficients, init.variances), 0,
-                             [], c, m))
+            entering.append((k, sample, 0, m, c, [], (init.weights, init.coefficients,
+                                                      init.variances)))
+        if not size:        # sized to what the call can hold: at most all its runs
+            size = min(lanes, (m + 1) * taken)
+            ints, reals = np.empty((size, 4), np.intp), np.empty((size, 3))
+            wv, b, p = np.empty((size, 2, G)), np.empty((size, G, J)), np.empty((size, G, n))
+            (key, slot, it, q), (ll, root, floor), (w, v) = ints.T, reals.T, wv.swapaxes(0, 1)
+            own = [] if shared else [np.empty((size, *d.shape[1:])) for d in (X, Xt, Y)]
+            xz = np.empty((size, G, J, n))
+            sq = xz.reshape(-1)[:size * G * n].reshape(size, G, n)
+            state = [ints, reals, wv, b, p, *own]
         if entering:
-            ks, slots, params, its, traces, cs, qs = zip(*entering)
-            W, B, V = (np.array(p) for p in zip(*params))
-            slots = np.array(slots)
-            ll, P, _ = _e_step(rows(Y, slots), rows(X, slots), W, B, V)
-            for k, trace, v in zip(ks, traces, ll.tolist()):
-                trace.append(v)
+            lo, a = a, a + len(entering)
+            ks, slots, _, _, cs, traces, params = zip(*entering)
+            ints[lo:a] = [entry[:4] for entry in entering]
+            root[lo:a], floor[lo:a] = np.sqrt(cs), config.variance_floor or floors[list(slots)]
+            w[lo:a], b[lo:a], v[lo:a] = zip(*params)
+            for rows, stack in zip(own, (X, Xt, Y)):
+                rows[lo:a] = stack[slot[lo:a]]
+            with np.errstate(**_E_STEP_ERRORS):
+                ll[lo:a] = _e_step_arrays(squares(lo, a, b[lo:a]), w[lo:a], v[lo:a],
+                                          out=p[lo:a])[0]
+            for k, trace, value in zip(ks, traces, ll[lo:a].tolist()):
+                trace.append(value)
                 logs[k] = trace
-            new = dict(key=np.array(ks), slot=slots, w=W, b=B, v=V, p=P, ll=ll,
-                       it=np.array(its, dtype=np.intp), root=np.sqrt(cs), q=np.array(qs))
-            lane = {f: np.concatenate([lane[f], new[f]]) for f in new} if lane else new
-        if not logs:
+        if not a:
             return [outcomes[(m + 1) * i + r] for r in range(m + 1) for i in range(taken)]
 
         # M-step; a member with a singular component leaves
-        totals = lane["p"].sum(axis=-1)
+        totals = p[:a].sum(axis=-1)
         weights = totals / n
-        betas, failures = _solve_betas(
-            rows(Xt, lane["slot"]), rows(Y, lane["slot"]), lane["p"], totals)
+        _, xt, y = data(0, a)
+        betas, failures = _solve_betas(xt, y, p[:a], totals, out=xz[:a])
         if failures:
-            ok = np.ones(lane["key"].size, dtype=bool)
-            for a, exc in failures:
-                leave(a, exc)
-                ok[a] = False
-            totals, weights, betas = keep(ok, totals, weights, betas)
-        sq = _residual_rows(rows(Y, lane["slot"]), rows(X, lane["slot"]), betas)
-        sq *= sq                # squared residuals, read by the variance update and the E-step
-        ss = _weighted_ss(lane["p"], sq)
-        live = m and lane["q"].any()
-        variances, binds = _update_variances(
-            ss, totals, n, lane["root"], roots if live else None)
+            for i, exc in failures:
+                leave(i, exc)
+            gone = np.isin(np.arange(a), [i for i, _ in failures])
+            totals, weights, betas = compact(gone, totals, weights, betas)
+        ss = _weighted_ss(p[:a], squares(0, a, betas))
+        live = m and q[:a].any()
+        variances, binds = _update_variances(ss, totals, n, root[:a], roots if live else None)
         if live:
             # binding shadows fork, to re-run this M-step from the state the
             # leader started this iteration with
-            binds &= np.arange(m) < lane["q"][:, None]
-            for a in np.flatnonzero(binds.any(axis=1)):
-                k, first = int(lane["key"][a]), int(binds[a].argmax())
-                slot, it = int(lane["slot"][a]), int(lane["it"][a])
-                params = lane["w"][a], lane["b"][a], lane["v"][a]
-                for r in range(first + 1, int(lane["q"][a]) + 1):
-                    forks[k + r] = (k + r, slot, params, it, logs[k][:-1], shadows[r - 1], 0)
-                lane["q"][a] = first
+            binds &= np.arange(m) < q[:a, None]
+            for i in np.flatnonzero(binds.any(axis=1)):
+                k, first = int(key[i]), int(binds[i].argmax())
+                params = w[i].copy(), b[i].copy(), v[i].copy()      # the row will be reused
+                for r in range(first + 1, int(q[i]) + 1):
+                    forks[k + r] = (k + r, int(slot[i]), int(it[i]), 0, shadows[r - 1],
+                                    logs[k][:-1], params)
+                q[i] = first
         # a member with a variance below its sample's floor leaves degenerate
-        degenerate = variances.min(axis=-1) < rows(floors, lane["slot"])
+        degenerate = variances.min(axis=-1) < floor[:a]
         if degenerate.any():
-            floored = np.maximum(variances, _TINY)
-            variances = np.where(degenerate[:, None], floored, variances)
+            variances = np.where(degenerate[:, None], np.maximum(variances, _TINY), variances)
 
         # invariant check; a member that fails it leaves before its E-step
         faults = _check_params(weights, betas, variances)
         if (faults >= 0).any():
-            for a in np.flatnonzero(faults >= 0):
-                leave(a, NumericalError(_PARAM_FAULTS[faults[a]]))
-            weights, betas, variances, sq, degenerate = keep(
-                faults < 0, weights, betas, variances, sq, degenerate)
-        lane["it"] += 1
+            for i in np.flatnonzero(faults >= 0):
+                leave(i, NumericalError(_PARAM_FAULTS[faults[i]]))
+            weights, betas, variances, degenerate, _ = compact(
+                faults >= 0, weights, betas, variances, degenerate, sq)
+        it[:a] += 1
 
-        # E-step, then each ending run's stop: the index in STOP_REASONS of
-        # the first reason that holds.  The moving clamp target makes the
-        # constrained update an inexact maximization; a step that lowers the
-        # objective is rejected and ends the run before it.  One error state
-        # covers both: the E-step's, and -inf minus -inf in the tolerance test.
-        old = lane["ll"]
+        # E-step, then each ending run's stop: the first of STOP_REASONS that
+        # holds.  A lower objective ends the run before the step (module
+        # docstring).  One error state covers both: the E-step's, and -inf
+        # minus -inf in the tolerance test.
         with np.errstate(invalid="ignore", **_E_STEP_ERRORS):
-            ll, P, _ = _e_step_arrays(sq, weights, variances)
-            met = np.isfinite(ll) & (abs(ll - old) <= config.tolerance * (1.0 + abs(ll)))
-        dropped, over = ll < old, lane["it"] >= config.max_iterations
+            new, _, _ = _e_step_arrays(sq[:a], weights, variances, out=p[:a])
+            met = np.isfinite(new) & (abs(new - ll[:a]) <= config.tolerance * (1.0 + abs(new)))
+        dropped, over = new < ll[:a], it[:a] >= config.max_iterations
         ended = degenerate | dropped | met | over
         stopping = ended.any()          # on most iterations no run stops
         if stopping:
             stop = np.array([degenerate, dropped, met, over]).argmax(axis=0)
             rejected = stop == STOP_REASONS.index("rejected_step")
-            for a in np.flatnonzero(rejected):
-                leave(a, "rejected_step")
-        lane.update(w=weights, b=betas, v=variances, p=P, ll=ll)
-        for k, v in zip(lane["key"].tolist(), ll.tolist()):
+            exact = met & (q[:a] == 0) & ((root[:a] == 0) | (root[:a] == 1))
+            for i in np.flatnonzero(rejected):
+                leave(i, "tolerance" if exact[i] else "rejected_step")
+        w[:a], b[:a], v[:a], ll[:a] = weights, betas, variances, new
+        for k, value in zip(key[:a].tolist(), new.tolist()):
             if k in logs:         # a rejected run has left
-                logs[k].append(v)
+                logs[k].append(value)
         if stopping:
-            for a in np.flatnonzero(ended & ~rejected):
-                leave(a, STOP_REASONS[stop[a]])
-            keep(~ended)
+            for i in np.flatnonzero(ended & ~rejected):
+                leave(i, STOP_REASONS[stop[i]])
+            compact(ended)
 
 
 def _raise_fatal(outcomes) -> None:
@@ -617,6 +615,8 @@ def run_em(
     def member():   # checked as the kernel takes it, after its checks of G and the data
         if init.n_components != G:
             raise ValueError("init has wrong number of components")
+        if init.n_features != data.n_features:     # log_likelihood's message
+            raise ValueError("parameter and design dimensions disagree")
         if spec.variant is Variant.CONC and not _feasible(init, spec.c):
             raise ValueError("constrained run requires a feasible initial guess "
                              f"(variance ratio {min_variance_ratio(init):.3g} < c = {spec.c:g})")

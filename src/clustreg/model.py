@@ -57,6 +57,31 @@ def _check_params(weights, coefficients, variances) -> np.ndarray:
     return np.where(~finite, 0, np.where(~simplex, 1, np.where(~positive, 2, -1)))
 
 
+_PROB_FAULTS = ("probabilities outside [0, 1]", "responsibility rows must sum to 1")
+
+
+def _check_probs(probs) -> np.ndarray:
+    """Index into _PROB_FAULTS of the first check each (..., n, G) posterior matrix fails, or -1."""
+    outside = ((probs < 0) | (probs > 1)).any(axis=(-2, -1))
+    unsummed = (np.abs(probs.sum(axis=-1) - 1.0) > _ROW_SUM_TOL).any(axis=-1)
+    return np.where(outside, 0, np.where(unsummed, 1, -1))
+
+
+def _raise_first(faults, messages, error=InvalidParameterError) -> None:
+    """Raise ``error`` with the message of the first fault in ``faults`` (-1: none), if any."""
+    for fault in faults[faults >= 0][:1]:
+        raise error(messages[fault])
+
+
+def _unchecked(cls, *arrays):
+    """``cls(*arrays)`` without its __post_init__, for checked arrays, made read-only here."""
+    obj = object.__new__(cls)
+    for arr in arrays:
+        arr.flags.writeable = False
+    obj.__dict__.update(zip(cls.__dataclass_fields__, arrays))
+    return obj
+
+
 def _require_int(name: str, value, low: int = 1) -> None:
     """Reject anything but an integer (a NumPy one too) of at least ``low``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
@@ -135,9 +160,7 @@ class ModelParams:
         G = w.shape[0]
         if G < 1 or B.shape[0] != G or v.shape[0] != G:
             raise InvalidParameterError("weights, coefficients, variances must share G >= 1")
-        fault = _check_params(w, B, v)
-        if fault >= 0:
-            raise InvalidParameterError(_PARAM_FAULTS[fault])
+        _raise_first(_check_params(w, B, v), _PARAM_FAULTS)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "coefficients", B)
         object.__setattr__(self, "variances", v)
@@ -162,10 +185,7 @@ class Responsibilities:
         P = _as_readonly(self.probs)
         if P.ndim != 2:
             raise ValueError("probs must be a matrix")
-        if np.any(P < 0) or np.any(P > 1):
-            raise ValueError("probabilities outside [0, 1]")
-        if np.any(np.abs(P.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
-            raise ValueError("responsibility rows must sum to 1")
+        _raise_first(_check_probs(P), _PROB_FAULTS, ValueError)
         under = self.underflow
         if under is None:
             under = np.zeros(P.shape[0], dtype=bool)
@@ -174,15 +194,17 @@ class Responsibilities:
         object.__setattr__(self, "underflow", under)
 
 
-def _residual_rows(responses, design, coefficients):
+def _residual_rows(responses, design, coefficients, out=None):
     """y_i - x_i' beta_g, one row per component: (..., G, n) from (..., G, J) coefficients.
 
     ``responses`` is (..., n) or (..., 1, n) and ``design`` (..., n, J); their
-    leading axes broadcast against the coefficients' member axes.
+    leading axes broadcast against the coefficients' member axes.  ``out``,
+    if given, receives the result.
     """
     if coefficients.shape[-1] != design.shape[-1]:
         raise ValueError("parameter and design dimensions disagree")
-    return responses - coefficients @ design.swapaxes(-1, -2)
+    fitted = np.matmul(coefficients, design.swapaxes(-1, -2), out=out)
+    return np.subtract(responses, fitted, out=fitted)
 
 
 # The E-step's error state: a zero weight or an overflowing residual square is
@@ -192,10 +214,11 @@ def _residual_rows(responses, design, coefficients):
 _E_STEP_ERRORS = dict(divide="ignore", over="ignore")
 
 
-def _log_density(sq, weights, variances):
-    # from squared residuals, under _E_STEP_ERRORS
+def _log_density(sq, weights, variances, out=None):
+    # from squared residuals, under _E_STEP_ERRORS; ``out`` may be ``sq`` itself
     const = np.log(weights) - 0.5 * np.log(2.0 * np.pi * variances)
-    return const[..., None] - sq / (2.0 * variances)[..., None]
+    L = np.divide(sq, (2.0 * variances)[..., None], out=out)
+    return np.subtract(const[..., None], L, out=L)
 
 
 def log_density_matrix(data: Dataset, params: ModelParams) -> np.ndarray:
@@ -205,15 +228,16 @@ def log_density_matrix(data: Dataset, params: ModelParams) -> np.ndarray:
         return _log_density(resid * resid, params.weights, params.variances).T
 
 
-def _e_step_arrays(sq, weights, variances):
+def _e_step_arrays(sq, weights, variances, out=None):
     """Max-shifted log-sum-exp pass: (loglik, (..., G, n) posteriors, (..., n) underflow mask).
 
     From the squared residuals ``sq``, under ``_E_STEP_ERRORS``.  Leading
     member axes are kept; loglik has their shape.  Observations whose mixture
     density underflows to zero for every component get a uniform 1/G
-    posterior and make their member's log-likelihood -inf.
+    posterior and make their member's log-likelihood -inf.  ``out``, if
+    given, receives the posteriors.
     """
-    L = _log_density(sq, weights, variances)
+    L = _log_density(sq, weights, variances, out)
     shift = L.max(axis=-2)
     bad = shift == -np.inf
     underflow = bad.any(axis=-1)
@@ -236,9 +260,10 @@ _UNDERFLOW_WARNING = (
 def _e_step(responses, design, weights, coefficients, variances, warn=False):
     """The E-step from parameters: ``_e_step_arrays`` on the squared ``_residual_rows``.
     With ``warn``, an underflow warns, attributed to the caller of this one's caller."""
-    resid = _residual_rows(responses, design, coefficients)
+    sq = _residual_rows(responses, design, coefficients)
     with np.errstate(**_E_STEP_ERRORS):
-        loglik, P, bad = _e_step_arrays(resid * resid, weights, variances)
+        sq *= sq
+        loglik, P, bad = _e_step_arrays(sq, weights, variances, out=sq)
     if warn and bad.any():
         warnings.warn(_UNDERFLOW_WARNING, RuntimeWarning, stacklevel=3)
     return loglik, P, bad

@@ -354,6 +354,19 @@ class TestNumericalFailure:
         assert [(row["estimator"], row["n_failed"]) for row in json.loads(out.read_text())] == [
             ("homn", 2), ("hetn", 2), ("conc", 2)]
 
+    @pytest.mark.parametrize("command", [["fit", "--variant", "hetn"], ["tune"]],
+                             ids=["fit", "tune"])
+    def test_overflowing_response_variance(self, tmp_path, capsys, command):
+        # the squares of responses near 1e156 overflow float64
+        path = self.csv(tmp_path, lambda d: d.responses * 1e155)
+        out = tmp_path / "fit.json"
+        code = run([*command, "--input", str(path), "--response", "y", "--regressors", "x",
+                    "--components", "2", "--starts", "3", "--output", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "error: numerical failure: the variance of the responses overflows; rescale them\n")
+        assert not out.exists()
+
     def test_invariant_failure_inside_em(self, tmp_path, capsys):
         path = self.csv(tmp_path, lambda d: d.responses * 1e-200)
         code = run(["fit", "--variant", "hetn", "--input", str(path), "--response", "y",

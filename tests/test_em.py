@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -526,7 +527,7 @@ class TestBatchedStarts:
 
     def test_chunk_size_changes_no_bit(self, monkeypatch):
         data = io.load_benchmark("temperature").data    # G = 5: groups of 12 and of 11 rows
-        G, children = 5, np.random.SeedSequence(8).spawn(100)
+        G, children = 5, np.random.SeedSequence(8).spawn(200)
         lanes = em._lane_count(G, data.n_features, data.n, False)
         assert len(children) > lanes
         chunked = []
@@ -608,7 +609,7 @@ class TestBatchedStarts:
         multi_start_fit(iris, 3, self.HETN, EmConfig(), 500, seed=77)
         chunks = math.ceil(500 / em._lane_count(3, iris.n_features, iris.n, False))
         # 150 rows in three groups of 50: one stacked SVD per chunk
-        assert calls == {"lstsq": 0, "svd": chunks, "chunks": chunks} and chunks == 7
+        assert calls == {"lstsq": 0, "svd": chunks, "chunks": chunks} and chunks == 4
 
     def test_start_breaking_an_invariant_raises_as_its_model_params_would(self):
         rng = np.random.default_rng(0)
@@ -876,15 +877,53 @@ class TestEdgeShapes:
 
     SPECS = [ConstraintSpec.heteroscedastic(), ConstraintSpec.homoscedastic()]
 
-    @pytest.mark.parametrize("spec", SPECS, ids=["hetn", "homn"])
-    def test_minimum_sample_size_fits(self, spec):
+    @staticmethod
+    def minimum_data():
         # n = G * (J + 1) with G = 2 and J = 2
         rng = np.random.default_rng(3)
         x = rng.uniform(-3, 3, 6)
-        data = Dataset(1.0 + 2.0 * x + rng.standard_normal(6), np.column_stack([np.ones(6), x]))
-        fit = multi_start_fit(data, 2, spec, EmConfig(), 10, seed=0)
+        return Dataset(1.0 + 2.0 * x + rng.standard_normal(6), np.column_stack([np.ones(6), x]))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["hetn", "homn"])
+    def test_minimum_sample_size_fits(self, spec):
+        fit = multi_start_fit(self.minimum_data(), 2, spec, EmConfig(), 10, seed=0)
         assert fit.params.n_components == 2 and np.isfinite(fit.loglik)
         assert not fit.degenerate
+
+    def test_rounding_drop_at_a_fixed_point_converges(self):
+        # HetN's M-step maximizes exactly, so a drop within the tolerance is
+        # rounding: the run ends converged, keeping the iterate it started
+        # from.  A ConC member at a c whose clamp never binds (the runs that
+        # do not degenerate) takes the same steps bit for bit under the
+        # inexact rule, and ends rejected_step.
+        data, spec = self.minimum_data(), ConstraintSpec.heteroscedastic()
+        seeds = np.random.SeedSequence(1).spawn(10)
+        starts = em._init_starts(data, 2, spec, seeds)
+
+        def kernel(c):
+            return em._em_lanes([data], 2, EmConfig(), [(0, start, c) for start in starts])
+
+        changed, runs = [], kernel(0.0)
+        assert sum(isinstance(run, em._Run) for run in runs) == 8
+        for hetn, conc in zip(runs, kernel(1e-12)):
+            assert type(hetn) is type(conc)
+            if isinstance(hetn, Exception):
+                assert str(hetn) == str(conc)
+                continue
+            if hetn.stop_reason == "degenerate":
+                continue
+            for got, want in zip(hetn, conc):
+                if isinstance(got, str):
+                    changed += [(got, want)] * (got != want)
+                else:
+                    assert np.array_equal(got, want)
+        assert changed == [("tolerance", "rejected_step")] * 2
+        winner, outcomes = multi_start_fit(data, 2, spec, EmConfig(), 10, seed=1, return_all=True)
+        assert winner.converged and winner.stop_reason == "tolerance"
+        # one more step from the kept iterate drops again, within the tolerance
+        again = run_em(data, 2, spec, EmConfig(max_iterations=1), winner.params)
+        assert again.converged and again.iterations == 1 and again.loglik == winner.loglik
+        assert np.array_equal(again.params.coefficients, winner.params.coefficients)
 
     def test_minimum_sample_size_has_no_cv_test_set(self):
         data = Dataset(np.arange(6.0) ** 2, np.column_stack([np.ones(6), np.arange(6.0)]))
@@ -934,6 +973,116 @@ class TestEdgeShapes:
             assert not fit_big.degenerate
             assert fit_big.loglik + shift == pytest.approx(fit.loglik, rel=1e-6)
             assert adjusted_rand(fit.labels, fit_big.labels) == 1.0
+
+
+class TestHugeResponses:
+    """A response variance that overflows fails a fit at the kernel's entry, without a warning."""
+
+    MESSAGE = "^the variance of the responses overflows; rescale them$"
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(0)
+        X = np.column_stack([np.ones(30), rng.normal(size=30)])
+        return Dataset(rng.normal(size=30) * 1e155, X)
+
+    @pytest.mark.parametrize("floor", [None, 1.0])
+    def test_pool(self, data, floor):
+        with pytest.raises(NumericalError, match=self.MESSAGE):
+            multi_start_fit(data, 2, ConstraintSpec.heteroscedastic(),
+                            EmConfig(variance_floor=floor), 10, seed=0)
+
+    def test_run_em_and_fit_conc(self, data):
+        init = ModelParams(np.full(2, 0.5), np.zeros((2, 2)), np.full(2, 1e300))
+        with pytest.raises(NumericalError, match=self.MESSAGE):
+            run_em(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(), init)
+        with pytest.raises(NumericalError, match=self.MESSAGE):
+            fit_conc(data, 2, CvConfig(), EmConfig(), 10)
+
+    def test_largest_variance_that_fits_still_fits(self, data):
+        # the squares of 1e153 stay finite, a decade under the failing scale
+        fit = multi_start_fit(Dataset(data.responses * 1e-2, data.design), 2,
+                              ConstraintSpec.heteroscedastic(), EmConfig(), 10, seed=0)
+        assert np.isfinite(fit.loglik)
+
+
+class TestFitResults:
+    """FitResults are built a batch at a time: the constructors' checks run once per batch."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return make_two_line_data(seed=31, n=50)[0]
+
+    @pytest.fixture(scope="class")
+    def run(self, data):
+        (outcome,) = em._em_lanes([data], 2, EmConfig(), [
+            (0, initialize(data, 2, ConstraintSpec.heteroscedastic(), 3), 0.0)])
+        return outcome
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("coefficients", (1, 0), math.nan),
+        ("variances", 1, -1.0),
+        ("weights", 0, 0.7),
+    ], ids=["nan-coefficient", "negative-variance", "off-simplex"])
+    def test_broken_run_raises_as_its_model_params_would(self, data, run, field, index, value):
+        broken = getattr(run, field).copy()
+        broken[index] = value
+        bad = run._replace(**{field: broken})
+        with pytest.raises(InvalidParameterError) as want:
+            ModelParams(*bad[:3])
+        outcomes = [run, run, bad, run]
+        with pytest.raises(InvalidParameterError, match=f"^{want.value}$"):
+            em._fit_results(data, 2, outcomes)
+        # with a batch of one run, the same error comes from a later batch
+        with mock.patch.object(em, "_lane_count", lambda *shape: 1):
+            with pytest.raises(InvalidParameterError, match=f"^{want.value}$"):
+                em._fit_results(data, 2, [run, run, bad, run])
+
+    @pytest.mark.parametrize("probs, message", [
+        (lambda P: P * 2.0, "probabilities outside [0, 1]"),
+        (lambda P: P * 0.5, "responsibility rows must sum to 1"),
+    ], ids=["outside", "unsummed"])
+    def test_broken_posteriors_raise_as_responsibilities_would(self, data, run, probs, message,
+                                                                monkeypatch):
+        e_step = em._e_step
+
+        def broken(*args):
+            loglik, P, bad = e_step(*args)
+            return loglik, probs(P), bad
+
+        match = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=match):
+            Responsibilities(probs(e_step(data.responses, data.design, *run[:3])[1]).T)
+        monkeypatch.setattr(em, "_e_step", broken)
+        with pytest.raises(ValueError, match=match):
+            em._fit_results(data, 2, [run, run])
+
+    def test_fields_are_read_only_and_pass_the_public_checks(self, data):
+        _, outcomes = multi_start_fit(data, 2, ConstraintSpec.heteroscedastic(), EmConfig(), 12,
+                                      seed=4, return_all=True)
+        for fit in outcomes:
+            params, resp = fit.params, fit.responsibilities
+            fields = (params.weights, params.coefficients, params.variances, resp.probs,
+                      resp.underflow)
+            assert not any(arr.flags.writeable for arr in fields)
+            assert resp.probs.shape == (data.n, 2) and resp.underflow.dtype == bool
+            rebuilt = ModelParams(*fields[:3]), Responsibilities(*fields[3:])
+            for got, want in zip(fields, (*rebuilt[0].__dict__.values(),
+                                          *rebuilt[1].__dict__.values())):
+                assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert np.array_equal(resp.probs, posterior_probs(data, params).probs)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ModelParams(np.array([0.5, 0.6]), np.zeros((2, 2)), np.ones(2)),
+         "weights must be a simplex vector"),
+        (lambda: ModelParams(np.full(2, 0.5), np.zeros((2, 2)), np.array([1.0, 0.0])),
+         "variances must be strictly positive"),
+        (lambda: Responsibilities(np.array([[0.5, 0.6]])), "responsibility rows must sum to 1"),
+        (lambda: Responsibilities(np.array([[1.5, -0.5]])), "probabilities outside .0, 1."),
+    ], ids=["weights", "variances", "row-sum", "range"])
+    def test_public_constructors_still_check(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
 
 class TestMultiStart:

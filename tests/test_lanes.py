@@ -1,6 +1,7 @@
 """The batched EM kernel must give every member exactly its single-member result."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ def temperature():
 class TestPoolParity:
     @pytest.mark.parametrize("variant", ["hetn", "homn", "conc"])
     def test_iris_pool_matches_single_runs(self, iris, variant):
-        G, n_starts, seed = 3, 100, 41
+        G, n_starts, seed = 3, 160, 41
         assert n_starts > em._lane_count(G, iris.n_features, iris.n, False)     # lanes refill
         spec = {
             "hetn": ConstraintSpec.heteroscedastic(),
@@ -137,6 +138,33 @@ class TestPoolParity:
         assert len(result[1]) == 200
         assert peak - kept <= 4 * lanes * lane_bytes, (peak - kept) / (lanes * lane_bytes)
 
+    def test_pool_memory_is_bounded_by_the_lane_budget(self, iris):
+        # Beyond the results it returns, a 500-start pool holds a small
+        # multiple of its lanes' buffers, whose bytes per lane _lane_count
+        # budgets, and a second identical call peaks no higher: the buffers
+        # live for one call.  An untraced call first does the lazy imports.
+        G = 3
+        lanes = em._lane_count(G, iris.n_features, iris.n, False)
+        budget = lanes * 8 * iris.n * G * (iris.n_features + 1)
+        assert 500 > lanes
+        args = (iris, G, ConstraintSpec.heteroscedastic(), EmConfig(), 500)
+        multi_start_fit(*args, seed=77, return_all=True)
+        peaks, beyond = [], []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                result = multi_start_fit(*args, seed=77, return_all=True)
+                kept, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak - base)
+                beyond.append(peak - kept)
+                del result
+        finally:
+            tracemalloc.stop()
+        assert max(beyond) <= 2 * budget, [b / budget for b in beyond]
+        assert peaks[1] <= peaks[0]
+
     def test_iteration_cap_stops_every_member(self, iris):
         _, outcomes = multi_start_fit(
             iris, 3, ConstraintSpec.heteroscedastic(), EmConfig(max_iterations=3), 60,
@@ -150,7 +178,7 @@ class TestPoolParity:
 
 
 LANE_DATA, _, _ = make_two_line_data(seed=90, n=1024)
-MAX_MEMBERS = 20
+MAX_MEMBERS = 36
 SPECS = {
     "hetn": ConstraintSpec.heteroscedastic(),
     "homn": ConstraintSpec.homoscedastic(),
@@ -160,16 +188,21 @@ SPECS = {
 
 @settings(max_examples=15, deadline=None)
 @given(members=st.lists(st.tuples(st.integers(0, 39), st.sampled_from(sorted(SPECS))),
-                        min_size=1, max_size=MAX_MEMBERS, unique_by=lambda m: m[0]))
-def test_result_independent_of_batch_composition(members):
+                        min_size=1, max_size=MAX_MEMBERS, unique_by=lambda m: m[0]),
+       capacity=st.one_of(st.none(), st.integers(1, 8)))
+def test_result_independent_of_batch_composition(members, capacity):
     # each member draws its own estimator, and one kernel call runs them all;
-    # the longest lists also refill lanes
+    # the longest lists also refill lanes.  A forced capacity of a few lanes
+    # makes runs leave mid-block, tail lanes move into their rows and entrants
+    # fill the tail on most iterations.
     assert MAX_MEMBERS > em._lane_count(2, LANE_DATA.n_features, LANE_DATA.n, False)
     config = EmConfig(tolerance=1e-10)
     specs = [SPECS[variant] for _, variant in members]
     inits = [initialize(LANE_DATA, 2, spec, seed) for (seed, _), spec in zip(members, specs)]
-    batch = _em_lanes([LANE_DATA], 2, config,
-                      [(0, init, em._clamp_c(spec)) for init, spec in zip(inits, specs)])
+    lanes = em._lane_count if capacity is None else (lambda *shape: capacity)
+    with mock.patch.object(em, "_lane_count", lanes):
+        batch = _em_lanes([LANE_DATA], 2, config,
+                          [(0, init, em._clamp_c(spec)) for init, spec in zip(inits, specs)])
     assert len(batch) == len(members)
     for spec, init, got in zip(specs, inits, em._fit_results(LANE_DATA, 2, batch)):
         assert_same_outcome(got, run_em(LANE_DATA, 2, spec, config, init))
